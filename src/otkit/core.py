@@ -98,8 +98,8 @@ class ProblemInstance:
         m, n = A.shape
         if y.size != m:
             raise ValueError(f"y has length {y.size}, expected {m}")
-        if not 1 <= self.k <= m:
-            raise ValueError(f"k={self.k} must satisfy 1 <= k <= m={m}")
+        if not 1 <= self.k <= min(m, n):
+            raise ValueError(f"k={self.k} must satisfy 1 <= k <= min(m, n)={min(m, n)}")
         if self.truth is not None:
             truth = as_vector(self.truth, "truth")
             if truth.size != n:

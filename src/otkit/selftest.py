@@ -81,19 +81,23 @@ def check_hard_threshold_best(rng, trials=50):
 
 
 def check_projection(rng, trials=200):
-    """Projection matches the bisection oracle; feasibility is exact."""
+    """Projection matches the bisection oracle, from no starting shift and from
+    a random one; feasibility is exact."""
     worst = 0.0
     worst_mass = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 40))
         k = int(rng.integers(1, n + 1))
         v = rng.normal(0, float(rng.uniform(0.1, 10.0)), n)
-        w = project_capped_simplex(v, k)
         ref = bisection_projection(v, k)
-        worst = max(worst, float(np.abs(w - ref).max()))
-        worst_mass = max(worst_mass, abs(float(w.sum()) - k))
-        if w.min() < 0 or w.max() > 1:
-            return CheckResult("capped_simplex_projection", False, "box violated")
+        # a random start taken from v, not drawn, so that the checks after
+        # this one draw the same inputs
+        shift = float(v[0]) - 0.5
+        for w in (project_capped_simplex(v, k), project_capped_simplex(v, k, shift=shift)):
+            worst = max(worst, float(np.abs(w - ref).max()))
+            worst_mass = max(worst_mass, abs(float(w.sum()) - k))
+            if w.min() < 0 or w.max() > 1:
+                return CheckResult("capped_simplex_projection", False, "box violated")
     ok = worst <= 1e-10 and worst_mass <= 1e-12
     return CheckResult("capped_simplex_projection", ok,
                        f"max dev {worst:.2e}, mass err {worst_mass:.2e}")

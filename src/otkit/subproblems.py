@@ -41,13 +41,28 @@ class QPSolverConfig:
             raise ValueError("tolerances must be positive")
 
 
-def project_capped_simplex(v, k):
+def project_capped_simplex(v, k, shift=None):
     """Euclidean projection of v onto {w : sum(w) = k, 0 <= w <= 1}.
 
-    The projection is clip(v - lam, 0, 1) for the scalar lam at which the
-    clipped mass equals k.  The mass is a piecewise-linear non-increasing
-    function of lam with breakpoints at v_i and v_i - 1, so lam is located
-    exactly by a sorted sweep over the 2n breakpoints.
+    The projection is clip(v - lam, 0, 1) for the scalar shift lam at which
+    the clipped mass equals k.  The mass is piecewise linear and
+    non-increasing in lam, with breakpoints at v_i and v_i - 1, so it is
+    linear on each face: with F the free coordinates (0 < v_i - lam < 1) and
+    U the saturated ones (v_i - lam >= 1) it equals |U| + sum(v_F) - |F| lam.
+
+    Safeguarded Newton iteration on lam: each pass finds the face at lam and
+    solves that face's mass equation exactly, lam' = (sum(v_F) + |U| - k) / |F|.
+    Once the face at lam' is the one lam' was solved on (no breakpoint lies
+    between lam and lam'), lam' is the exact shift and clip(v - lam', 0, 1)
+    is returned.  A bracket lo < lam < hi kept from the sign of the mass
+    error catches steps that leave it and replaces them, as it does a step on
+    a face with no free coordinate, by the median breakpoint inside the
+    bracket; every bisection halves the breakpoints left, so the loop ends.
+
+    shift is an optional starting guess for lam, typically the shift of the
+    previous projection in a sequence of nearby ones.  It changes only the
+    number of passes (usually one, from a good guess); the result is the same
+    to round-off.
     """
     v = as_vector(v)
     n = v.size
@@ -56,49 +71,50 @@ def project_capped_simplex(v, k):
     if k == n:
         return np.ones(n)
 
-    events = np.concatenate([v, v - 1.0])
-    kinds = np.concatenate([np.ones(n), -np.ones(n)])  # +1 activates, -1 saturates
-    order = np.argsort(-events, kind="stable")
-    lam = events[order]
-    slope = np.cumsum(kinds[order])  # active-coordinate count below each event
-    gaps = lam[:-1] - lam[1:]
-    mass = np.concatenate([[0.0], np.cumsum(slope[:-1] * gaps)])
-
-    j = int(np.searchsorted(mass, k, side="left"))  # first event with mass >= k
-    if j == 0:
-        lam_star = lam[0]
-    elif mass[j - 1] >= k:
-        lam_star = lam[j - 1]
-    else:
-        lam_star = lam[j - 1] - (k - mass[j - 1]) / slope[j - 1]
-    w = np.clip(v - lam_star, 0.0, 1.0)
-
-    # One exact correction on the identified face absorbs accumulated
-    # round-off from the prefix sums (and any coincident breakpoints).
-    active = (w > 0.0) & (w < 1.0)
-    n_active = int(active.sum())
-    excess = float(w.sum()) - k
-    if n_active > 0 and excess != 0.0:
-        w = np.clip(v - (lam_star + excess / n_active), 0.0, 1.0)
-    return w
-
-
-def _largest_eigenvalue(G, tol=1e-12, max_iter=500):
-    """Power iteration for the top eigenvalue of a symmetric PSD matrix."""
-    n = G.shape[0]
-    z = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    for _ in range(max_iter):
-        Gz = G @ z
-        nz = float(np.linalg.norm(Gz))
-        if nz == 0.0:
-            return 0.0
-        z = Gz / nz
-        new = float(z @ (G @ z))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return new
-        lam = new
-    return lam
+    lam = (float(v.sum()) - k) / n if shift is None else float(shift)
+    if not math.isfinite(lam):
+        raise ValueError(f"starting shift {lam} is not finite")
+    lo, hi = -math.inf, math.inf  # mass(lo) > k > mass(hi)
+    solved_on = None  # face counts lam was solved on by a Newton step
+    while True:
+        d = v - lam
+        pos = d > 0.0
+        sat = d >= 1.0
+        n_sat = int(np.count_nonzero(sat))
+        n_free = int(np.count_nonzero(pos)) - n_sat
+        # lam moved one way from the face it was solved on, so coordinates
+        # only leave U or join the zeros: equal counts mean an equal face.
+        if solved_on == (n_sat, n_free):
+            break
+        sum_free = float(v[pos ^ sat].sum())
+        excess = n_sat + sum_free - n_free * lam - k
+        if excess > 0.0:
+            lo = lam
+        elif excess < 0.0:
+            hi = lam
+        else:
+            break
+        if n_free:
+            step = (sum_free + n_sat - k) / n_free
+            if lo < step < hi:
+                lam, solved_on = step, (n_sat, n_free)
+                continue
+        breaks = np.concatenate([v, v - 1.0])
+        breaks = breaks[(breaks > lo) & (breaks < hi)]
+        if breaks.size:
+            lam, solved_on = float(np.median(breaks)), None
+            continue
+        # No breakpoint inside the bracket: the mass is linear on it, and the
+        # face at its midpoint is the face of the solution.
+        mid = 0.5 * (lo + hi)
+        d = v - mid
+        free = (d > 0.0) & (d < 1.0)
+        n_free = int(np.count_nonzero(free))
+        if n_free:
+            lam = (float(v[free].sum()) + int(np.count_nonzero(d >= 1.0)) - k) / n_free
+            d = v - lam
+        break
+    return np.clip(d, 0.0, 1.0)
 
 
 def solve_relaxed_ot(A, y, v, k, cfg=None):
@@ -106,8 +122,13 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
 
     Accelerated projected gradient with a monotone restart: an accelerated
     step that would increase the objective is rejected and the momentum is
-    reset, so accepted objectives never increase.  The step is 1/L with L the
-    top eigenvalue of (A diag(v))^T (A diag(v)) from power iteration.
+    reset, so accepted objectives never increase.  The step is 1/L, with L the
+    exact top eigenvalue of (A diag(v))^T (A diag(v)) times a 1.02 margin;
+    eigvalsh reads it from the smaller of the two Gram matrices.  Each
+    projection starts from the shift of the previous one, read off a free
+    coordinate of its result; consecutive iterates share nearly the same
+    shift, so the Newton projection usually needs a single pass.  The guess
+    changes only that pass count, not the projection beyond round-off.
 
     Returns (w, converged).  On non-convergence within max_inner_iter the
     best iterate found so far is returned with converged=False; the caller
@@ -128,7 +149,7 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
     G = B.T @ B
     c = B.T @ y
     yy = float(y @ y)
-    L = _largest_eigenvalue(G) * 1.02  # slight inflation keeps 1/L a safe step
+    L = float(np.linalg.eigvalsh(B @ B.T if m < n else G)[-1]) * 1.02
 
     w = np.full(n, k / n)  # feasible interior start
     if L <= 0.0:
@@ -143,8 +164,13 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
     zk = w.copy()
     t_mom = 1.0
     stall = 0
+    lam = None  # shift of the last projection, the next one's starting guess
     for it in range(cfg.max_inner_iter):
-        w_new = project_capped_simplex(zk - (G @ zk - c) / L, k)
+        z = zk - (G @ zk - c) / L
+        w_new = project_capped_simplex(z, k, shift=lam)
+        free = np.flatnonzero((w_new > 0.0) & (w_new < 1.0))
+        if free.size:
+            lam = float(z[free[0]] - w_new[free[0]])
         Gw_new = G @ w_new
         f_new = objective(w_new, Gw_new)
         if f_new > fw:  # monotone restart
@@ -157,7 +183,7 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
         zk = w_new + ((t_mom - 1.0) / t_next) * (w_new - w)
         w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
         if stall >= 4 or (it & 15) == 15:
-            pg = np.linalg.norm(w - project_capped_simplex(w - (Gw - c) / L, k))
+            pg = np.linalg.norm(w - project_capped_simplex(w - (Gw - c) / L, k, shift=lam))
             if pg <= cfg.grad_tol:
                 return w, True
         if stall >= 8:  # objective_rel_tol met repeatedly

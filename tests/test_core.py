@@ -120,6 +120,13 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(A=A, y=np.ones(3), k=4)
 
+    def test_k_above_n_rejected(self, rng):
+        # a tall A: k <= m holds, but no k-sparse support exists among 4 columns
+        A = rng.normal(0, 1, (10, 4))
+        with pytest.raises(ValueError, match="k=6"):
+            ProblemInstance(A=A, y=np.ones(10), k=6)
+        ProblemInstance(A=A, y=np.ones(10), k=4)
+
     def test_inconsistent_noise_model_rejected(self, rng):
         A = rng.normal(0, 1, (4, 8))
         truth = np.zeros(8)

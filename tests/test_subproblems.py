@@ -27,6 +27,7 @@ class TestProjection:
     def test_full_mass_is_ones(self, rng):
         v = rng.normal(0, 5, 9)
         np.testing.assert_array_equal(project_capped_simplex(v, 9), np.ones(9))
+        np.testing.assert_array_equal(project_capped_simplex(v, 9, shift=3.0), np.ones(9))
 
     def test_matches_bisection_oracle(self, rng):
         for _ in range(50):
@@ -39,13 +40,43 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_capped_simplex(np.ones(3), 4)
 
+    def test_nonfinite_shift_rejected(self):
+        for shift in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                project_capped_simplex(np.array([0.5, 2.0, -1.0]), 1, shift=shift)
+
     def test_coincident_breakpoints(self):
-        # repeated values make breakpoints collide; feasibility must survive
-        v = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0])
-        for k in range(1, 8):
-            w = project_capped_simplex(v, k)
-            assert abs(w.sum() - k) <= 1e-12
-            assert w.min() >= 0 and w.max() <= 1
+        # repeated values make breakpoints collide, and v_i - 1 of one
+        # coordinate equals v_j of another; start on and between them
+        v = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 3.0, 0.5, 1.5])
+        for k in range(1, v.size + 1):
+            ref = bisection_projection(v, k)
+            for shift in (None, -5.0, -1.0, 0.0, 0.5, 1.0, 2.0, 1e9):
+                w = project_capped_simplex(v, k, shift=shift)
+                np.testing.assert_allclose(w, ref, atol=1e-10)
+                assert abs(w.sum() - k) <= 1e-12
+                assert w.min() >= 0 and w.max() <= 1
+
+    def test_binary_result_has_no_free_coordinate(self):
+        # any shift in [0, 4] is exact here: the mass is flat at k there
+        v = np.array([5.0, 5.0, 0.0, 0.0, -3.0])
+        for shift in (None, -10.0, 0.0, 2.0, 4.0, 4.5, 10.0):
+            np.testing.assert_array_equal(project_capped_simplex(v, 2, shift=shift),
+                                          [1.0, 1.0, 0.0, 0.0, 0.0])
+
+    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=25), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_any_shift_matches_oracle(self, vals, data):
+        v = np.array(vals, dtype=float)
+        k = data.draw(st.integers(1, v.size))
+        shift = data.draw(st.one_of(
+            st.none(),
+            st.floats(float(v.min()) - 2.0, float(v.max()) + 1.0),
+            st.floats(-1e12, 1e12)))
+        w = project_capped_simplex(v, k, shift=shift)
+        np.testing.assert_allclose(w, bisection_projection(v, k), rtol=0, atol=1e-10)
+        assert abs(w.sum() - k) <= 1e-12
+        assert w.min() >= 0.0 and w.max() <= 1.0
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=25), st.data())
     @settings(deadline=None, max_examples=60)
@@ -106,6 +137,21 @@ class TestRelaxedOT:
             w, _ = solve_relaxed_ot(A, y, v, 3, cfg)
             objs.append(float(np.sum((y - A @ (v * w)) ** 2)))
         assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
+
+    def test_step_uses_top_eigenvalue_orthogonal_to_ones(self):
+        # G = I + 9 u u^T with u orthogonal to the all-ones vector: power
+        # iteration from the uniform start never sees u and reads 1, not 10.
+        n, k = 6, 2
+        u = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]) / np.sqrt(n)
+        G = np.eye(n) + 9.0 * np.outer(u, u)
+        A = np.linalg.cholesky(G).T  # A^T A = G, so B = A diag(1) has Gram G
+        y = A @ np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        w, _ = solve_relaxed_ot(A, y, np.ones(n), k, QPSolverConfig(max_inner_iter=1))
+        # the first step from the uniform start is accepted: it is a descent step of 1/L
+        w0 = np.full(n, k / n)
+        L = 10.0 * 1.02
+        expected = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / L, k)
+        np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_nonconvergence_flag(self, rng):
         A = rng.standard_normal((8, 16))
