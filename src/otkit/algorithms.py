@@ -66,6 +66,10 @@ class AlgorithmConfig:
 class RunResult:
     """Outcome of one run: final iterate, the trace, and why it stopped.
 
+    stop_reason is "residual_tol", "stagnation" or "max_iter", or, for the
+    heavy-ball family, "diverged": the next search point u grew so large that
+    A diag(u) overflows (its squared Frobenius norm bounds every Gram entry
+    the selection forms), and x_final is the last iterate, which is finite.
     inner_flags counts relaxed-compression solves that hit their iteration
     cap without meeting tolerance (the outer loop continues regardless).
     """
@@ -111,6 +115,7 @@ def _run_heavy_ball(problem, cfg, step):
                          candidate_residual_norms=[])
 
     res_curr = trace.residual_norms[-1]
+    col_sq = np.einsum("ij,ij->j", A, A)  # squared column norms of A
     inner_flags = 0
     stagnant = 0
     iters = 0
@@ -125,6 +130,10 @@ def _run_heavy_ball(problem, cfg, step):
             reason = "max_iter"
             break
         u = x_curr + cfg.alpha * (A.T @ (y - A @ x_curr)) + cfg.beta * (x_curr - x_prev)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(col_sq @ (u * u)):  # ||A diag(u)||_F^2
+                reason = "diverged"
+                break
         x_next, cand_res, flags = step(u)
         inner_flags += flags
         iters += 1

@@ -183,9 +183,16 @@ class GridResult:
         return sum(r.success for r in cell) / len(cell)
 
     def rates(self, algorithm):
-        """Success-rate matrix indexed [kappa_index][rho_index]."""
-        return [[self.rate(algorithm, ki, ri) for ri in range(len(self.rho_list))]
-                for ki in range(len(self.kappa_list))]
+        """Success-rate matrix indexed [kappa_index][rho_index], counted in one
+        pass over the records; each entry equals rate() for its cell."""
+        successes = [[0] * len(self.rho_list) for _ in self.kappa_list]
+        trials = [[0] * len(self.rho_list) for _ in self.kappa_list]
+        for r in self.records:
+            if r.algorithm == algorithm:
+                successes[r.kappa_index][r.rho_index] += r.success
+                trials[r.kappa_index][r.rho_index] += 1
+        return [[s / t for s, t in zip(s_row, t_row)]
+                for s_row, t_row in zip(successes, trials)]
 
 
 def _grid_task(args):
@@ -260,9 +267,8 @@ def transition_point(points):
 def transition_curve(grid, algorithm):
     """Per-kappa transition estimates: list of (kappa, rho_50, extrapolated)."""
     out = []
-    for ki, kappa in enumerate(grid.kappa_list):
-        points = list(zip(grid.rho_list, grid.rates(algorithm)[ki]))
-        rho50, flag = transition_point(points)
+    for kappa, row in zip(grid.kappa_list, grid.rates(algorithm)):
+        rho50, flag = transition_point(list(zip(grid.rho_list, row)))
         out.append((kappa, rho50, flag))
     return out
 

@@ -119,9 +119,8 @@ def _run_grid(args, name):
         write_trials_csv(fh, grid, include_timing=args.timing)
     print(f"wrote {args.out}")
     for algorithm in algorithms:
-        for ki, kappa in enumerate(kappas):
-            rates = " ".join(f"{grid.rate(algorithm, ki, ri):.2f}"
-                             for ri in range(len(rhos)))
+        for kappa, row in zip(kappas, grid.rates(algorithm)):
+            rates = " ".join(f"{rate:.2f}" for rate in row)
             print(f"{algorithm} kappa={kappa}: rates [{rates}]")
     return grid
 

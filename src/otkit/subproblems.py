@@ -114,7 +114,9 @@ def project_capped_simplex(v, k, shift=None):
             lam = (float(v[free].sum()) + int(np.count_nonzero(d >= 1.0)) - k) / n_free
             d = v - lam
         break
-    return np.clip(d, 0.0, 1.0)
+    # minimum(maximum()) is clip without its Python wrapper; d is a fresh array
+    np.maximum(d, 0.0, out=d)
+    return np.minimum(d, 1.0, out=d)
 
 
 def solve_relaxed_ot(A, y, v, k, cfg=None):
@@ -129,6 +131,12 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
     coordinate of its result; consecutive iterates share nearly the same
     shift, so the Newton projection usually needs a single pass.  The guess
     changes only that pass count, not the projection beyond round-off.
+
+    One Gram product per step: the gradient at the search point
+    z = w + m (w - w_prev) is G z - c, and G z = G w + m (G w - G w_prev) is
+    carried through the same recurrence from the products G w the objective
+    needs anyway (after a restart m = 0 and G z = G w).  The iterates equal
+    those of a loop that forms G z afresh up to round-off in that product.
 
     Returns (w, converged).  On non-convergence within max_inner_iter the
     best iterate found so far is returned with converged=False; the caller
@@ -161,26 +169,28 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
 
     Gw = G @ w
     fw = objective(w, Gw)
-    zk = w.copy()
+    zk, Gz = w, Gw  # search point and its Gram product
     t_mom = 1.0
     stall = 0
     lam = None  # shift of the last projection, the next one's starting guess
     for it in range(cfg.max_inner_iter):
-        z = zk - (G @ zk - c) / L
+        z = zk - (Gz - c) / L
         w_new = project_capped_simplex(z, k, shift=lam)
-        free = np.flatnonzero((w_new > 0.0) & (w_new < 1.0))
-        if free.size:
-            lam = float(z[free[0]] - w_new[free[0]])
+        inside = (w_new > 0.0) & (w_new < 1.0)
+        i = int(inside.argmax())
+        if inside[i]:
+            lam = float(z[i] - w_new[i])
         Gw_new = G @ w_new
         f_new = objective(w_new, Gw_new)
         if f_new > fw:  # monotone restart
             w_new, Gw_new, f_new = w, Gw, fw
-            zk = w.copy()
             t_mom = 1.0
         rel_drop = abs(fw - f_new) / max(1.0, abs(fw))
         stall = stall + 1 if rel_drop <= cfg.objective_rel_tol else 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        zk = w_new + ((t_mom - 1.0) / t_next) * (w_new - w)
+        mom = (t_mom - 1.0) / t_next
+        zk = w_new + mom * (w_new - w)
+        Gz = Gw_new + mom * (Gw_new - Gw)
         w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
         if stall >= 4 or (it & 15) == 15:
             pg = np.linalg.norm(w - project_capped_simplex(w - (Gw - c) / L, k, shift=lam))

@@ -228,6 +228,22 @@ class TestSharedBehaviour:
         assert result.stop_reason == "stagnation"
         assert result.iterations < 200
 
+    def test_divergence_is_a_stop_reason(self):
+        # alpha far outside the window: |u| grows ~1e5 per step until A diag(u)
+        # overflows, where the relaxed selection's Gram could not be formed
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((32, 64))
+        truth = np.zeros(64)
+        truth[rng.choice(64, 3, replace=False)] = rng.standard_normal(3)
+        problem = ProblemInstance(A=A, y=A @ truth, k=3, truth=truth)
+        with np.errstate(over="raise"):
+            result = run(problem, config_for("hbrot", alpha=1e6, beta=0.9))
+        assert result.stop_reason == "diverged"
+        assert result.iterations < 50
+        assert np.isfinite(result.x_final).all()
+        np.testing.assert_array_equal(result.x_final, result.trace.iterates[-1])
+        assert len(result.trace.iterates) == result.iterations + 2
+
     def test_sparse_start_enforced(self, rng):
         problem = identity_problem(k=2)
         with pytest.raises(ValueError, match="k-sparse"):

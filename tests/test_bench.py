@@ -135,6 +135,14 @@ class TestSuccessGrid:
         for a, b in zip(rates, rates[1:]):
             assert b <= a + 0.15
 
+    def test_rates_equal_per_cell_rate(self):
+        grid = success_grid(n=32, kappa_list=[0.5, 0.75], rho_list=[0.1, 0.3, 0.5],
+                            trials_per_cell=3, algorithms=["iht", "omp"], base_seed=9)
+        for algorithm in grid.algorithms:
+            assert grid.rates(algorithm) == [
+                [grid.rate(algorithm, ki, ri) for ri in range(3)] for ki in range(2)]
+        assert grid.rates("iht") != grid.rates("omp")
+
     def test_workers_do_not_change_results(self):
         kwargs = dict(n=24, kappa_list=[0.8], rho_list=[0.15], trials_per_cell=4,
                       algorithms=["iht", "omp"], base_seed=11)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otkit.core import top_k_indices
 from otkit.errors import EnumerationGuardError
 from otkit.selftest import bisection_projection
 from otkit.subproblems import (QPSolverConfig, least_squares_on_support,
@@ -93,7 +96,67 @@ class TestProjection:
         assert (np.linalg.norm(w - v) <= np.linalg.norm(other - v) + 1e-10)
 
 
+def two_product_relaxed_ot(A, y, v, k, cfg):
+    """solve_relaxed_ot as a loop that forms the Gram product at the search
+    point afresh each step: two products G @ z and G @ w per step, the shift
+    read off with flatnonzero.  The projection is shared: its closing
+    minimum/maximum equals np.clip in value."""
+    B = A * v
+    G = B.T @ B
+    c = B.T @ y
+    yy = float(y @ y)
+    m, n = A.shape
+    L = float(np.linalg.eigvalsh(B @ B.T if m < n else G)[-1]) * 1.02
+    w = np.full(n, k / n)
+    Gw = G @ w
+    fw = yy - 2.0 * float(c @ w) + float(w @ Gw)
+    zk = w.copy()
+    t_mom = 1.0
+    stall = 0
+    lam = None
+    for it in range(cfg.max_inner_iter):
+        z = zk - (G @ zk - c) / L
+        w_new = project_capped_simplex(z, k, shift=lam)
+        free = np.flatnonzero((w_new > 0.0) & (w_new < 1.0))
+        if free.size:
+            lam = float(z[free[0]] - w_new[free[0]])
+        Gw_new = G @ w_new
+        f_new = yy - 2.0 * float(c @ w_new) + float(w_new @ Gw_new)
+        if f_new > fw:
+            w_new, Gw_new, f_new = w, Gw, fw
+            zk = w.copy()
+            t_mom = 1.0
+        rel_drop = abs(fw - f_new) / max(1.0, abs(fw))
+        stall = stall + 1 if rel_drop <= cfg.objective_rel_tol else 0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        zk = w_new + ((t_mom - 1.0) / t_next) * (w_new - w)
+        w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
+        if stall >= 4 or (it & 15) == 15:
+            pg = np.linalg.norm(w - project_capped_simplex(w - (Gw - c) / L, k, shift=lam))
+            if pg <= cfg.grad_tol:
+                return w, True
+        if stall >= 8:
+            return w, True
+    return w, False
+
+
 class TestRelaxedOT:
+    def test_one_product_step_matches_two_product_loop(self):
+        # carrying G z through the momentum recurrence changes round-off only
+        m, n, k = 32, 64, 5
+        cfg = QPSolverConfig()
+        flags = []
+        for seed in range(20):
+            A, y, truth, _ = gaussian_instance(np.random.default_rng(300 + seed), m, n, k)
+            v = 5.0 * (A.T @ y)  # the default heavy-ball step from zero
+            w, converged = solve_relaxed_ot(A, y, v, k, cfg)
+            w_ref, converged_ref = two_product_relaxed_ot(A, y, v, k, cfg)
+            assert converged == converged_ref
+            np.testing.assert_array_equal(top_k_indices(v * w, k), top_k_indices(v * w_ref, k))
+            assert np.abs(w - w_ref).max() <= 1e-6
+            flags.append(converged)
+        assert not all(flags)  # some solves run to the cap, where round-off grows most
+
     def test_zero_residual_certificate(self, rng):
         m, n, k = 6, 12, 3
         A = rng.standard_normal((m, n))
