@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from otkit.algorithms import config_for, run_hbrotp
+from otkit.algorithms import config_for, run
 from otkit.bench import equiangular_frame
 from otkit.bounds import convergence_envelope, hbrot_constants, parameter_window, ric_profile
 from otkit.core import ProblemInstance
@@ -49,8 +49,8 @@ def main():
     else:
         noise, y = None, A @ truth
     problem = ProblemInstance(A=A, y=y, k=1, truth=truth, noise=noise)
-    result = run_hbrotp(problem, config_for("hbrotp", alpha=alpha, beta=beta,
-                                            max_iter=50, residual_tol=0.0))
+    result = run(problem, config_for("hbrotp", alpha=alpha, beta=beta,
+                                     max_iter=50, residual_tol=0.0))
 
     errors = result.trace.errors_to_truth
     print(f"\n{'p':>3} {'error':>12} {'envelope':>12}")

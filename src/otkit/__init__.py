@@ -7,8 +7,7 @@ phase-transition benchmark harness.
 """
 
 from .algorithms import (ALL_VARIANTS, AlgorithmConfig, RunResult, config_for,
-                         heavy_ball_point, run, run_hbot, run_hbotp, run_hbrot,
-                         run_hbrotp, run_htp, run_iht, run_omp)
+                         run)
 from .bench import (EnsembleSpec, GridResult, TrialRecord, equiangular_frame,
                     generate_instance, run_trial, success_grid,
                     transition_curve, transition_point, trial_seed,
@@ -18,9 +17,9 @@ from .bounds import (BoundConstants, RICProfile, convergence_envelope,
                      geometric_envelope, hbot_constants, hbrot_constants,
                      l2_bound_g, parameter_window, ric_exact, ric_profile,
                      s_of_k, xi_q)
-from .core import (IterateTrace, ProblemInstance, hadamard, hard_threshold,
-                   load_matrix_csv, load_vector_csv, residual,
-                   save_matrix_csv, save_vector_csv, support, top_k_indices)
+from .core import (IterateTrace, ProblemInstance, hard_threshold,
+                   load_matrix_csv, load_vector_csv, residual, save_matrix_csv,
+                   save_vector_csv, support, top_k_indices)
 from .errors import EnumerationGuardError, ParameterWindowError
 from .subproblems import (QPSolverConfig, least_squares_on_support,
                           project_capped_simplex, solve_binary_ot,

@@ -1,26 +1,25 @@
 """Outer iterations: the heavy-ball thresholding family plus greedy baselines.
 
-All runners share one contract: run_*(problem, cfg) -> RunResult with a full
-IterateTrace.  The heavy-ball family keeps two iterates of state; a step
-builds the search point u = x + alpha A^T (y - A x) + beta (x - x_prev),
-selects k entries of u (exactly, or through the relaxed compression loop),
-and optionally re-fits least squares on the selected support.
+run(problem, cfg) -> RunResult is the one entry point.  A step builds the
+search point u = x + alpha A^T (y - A x) + beta (x - x_prev), selects k
+entries of u (exactly, through the relaxed compression loop, or by
+magnitude), and optionally re-fits least squares on the selected support.
+The heavy-ball family starts from two points; IHT and HTP start from one and
+take a unit step (alpha=1, beta=0).  OMP keeps its own k-step greedy loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+# top_k_indices is not called here, but instrumentation patches this name too
 from .core import (IterateTrace, ProblemInstance, as_vector, hard_threshold,
-                   residual, support, top_k_indices)
+                   support, top_k_indices)  # noqa: F401
 from .subproblems import (QPSolverConfig, least_squares_on_support,
                           solve_binary_ot, solve_relaxed_ot)
-
-HEAVY_BALL_VARIANTS = ("hbot", "hbotp", "hbrot", "hbrotp")
-BASELINE_VARIANTS = ("iht", "htp", "omp")
-ALL_VARIANTS = HEAVY_BALL_VARIANTS + BASELINE_VARIANTS
 
 # Numerical fixed-point detection: stop after this many consecutive
 # iterations with ||x_next - x|| <= STAGNATION_RTOL * (1 + ||x||).
@@ -28,13 +27,59 @@ STAGNATION_RTOL = 1e-14
 STAGNATION_RUNS = 3
 
 
+def _search_point(A, y, x, x_prev, alpha, beta):
+    """u = x + alpha A^T (y - A x) + beta (x - x_prev) on already-checked
+    inputs; the unit step (alpha=1, beta=0) forms neither weight's term."""
+    g = A.T @ (y - A @ x)
+    u = x + (g if alpha == 1.0 else alpha * g)
+    return u + beta * (x - x_prev) if beta else u
+
+
+def _exact(A, y, u, k, cfg):
+    """u restricted to its exact best k-subset (n <= 30: the selection enumerates)."""
+    w, _ = solve_binary_ot(A, y, u, k)
+    return u * w, 0
+
+
+def _relaxed(A, y, u, k, cfg):
+    """omega relaxed selections, each multiplying into u, then hard thresholding."""
+    flags = 0
+    for _ in range(cfg.omega):
+        w, converged = solve_relaxed_ot(A, y, u, k, cfg.qp)
+        flags += 0 if converged else 1
+        u = u * w
+    return hard_threshold(u, k), flags
+
+
+def _threshold(A, y, u, k, cfg):
+    """The k largest-magnitude entries of u."""
+    return hard_threshold(u, k), 0
+
+
+# variant -> (selector, re-fit least squares on its support, heavy-ball step).
+# A selector maps (A, y, u, k, cfg) to a k-sparse candidate and its count of
+# capped relaxed solves.  It looks the inner solvers up as module attributes
+# when called, so a patched attribute (a tracer, a counter) sees every solve.
+_VARIANTS = {
+    "hbot": (_exact, False, True),
+    "hbotp": (_exact, True, True),
+    "hbrot": (_relaxed, False, True),
+    "hbrotp": (_relaxed, True, True),
+    "iht": (_threshold, False, False),
+    "htp": (_threshold, True, False),
+}
+ALL_VARIANTS = (*_VARIANTS, "omp")
+
+
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Which variant to run and with what parameters.
 
-    alpha/beta are the gradient and momentum weights (beta=0 disables
-    momentum); omega counts relaxed compressions per iteration and only
-    affects the relaxed variants.  x0/x1 override the zero starting points.
+    The defaults are the operating point used throughout the benchmarks and
+    the CLI.  alpha/beta are the gradient and momentum weights of the
+    heavy-ball family (beta=0 disables momentum; the baselines ignore both);
+    omega counts relaxed compressions per iteration and only affects the
+    relaxed variants.  x0/x1 override the zero starting points.
     """
 
     variant: str = "hbrotp"
@@ -66,12 +111,11 @@ class AlgorithmConfig:
 class RunResult:
     """Outcome of one run: final iterate, the trace, and why it stopped.
 
-    stop_reason is "residual_tol", "stagnation" or "max_iter", or, for the
-    heavy-ball family, "diverged": the next search point u grew so large that
-    A diag(u) overflows (its squared Frobenius norm bounds every Gram entry
-    the selection forms), and x_final is the last iterate, which is finite.
-    inner_flags counts relaxed-compression solves that hit their iteration
-    cap without meeting tolerance (the outer loop continues regardless).
+    stop_reason is "residual_tol", "stagnation", "max_iter" or "diverged": a
+    bound on the Gram entries the next selection would form overflows, and
+    x_final is the last iterate, which is finite.  inner_flags counts
+    relaxed-compression solves that hit their iteration cap without meeting
+    tolerance (the outer loop continues regardless).
     """
 
     x_final: np.ndarray
@@ -79,12 +123,6 @@ class RunResult:
     stop_reason: str
     iterations: int
     inner_flags: int = 0
-
-
-def heavy_ball_point(A, y, x_curr, x_prev, alpha, beta):
-    """Search point u = x + alpha A^T (y - A x) + beta (x - x_prev)."""
-    r = residual(A, x_curr, y)
-    return x_curr + alpha * (A.T @ r) + beta * (x_curr - as_vector(x_prev, "x_prev"))
 
 
 def _starting_point(x, n, k, name):
@@ -98,29 +136,60 @@ def _starting_point(x, n, k, name):
     return x.copy()
 
 
-def _run_heavy_ball(problem, cfg, step):
-    """Common two-point outer loop; `step` maps a search point u to
-    (x_next, candidate_residual_norm, inner_flag_increment)."""
+def _record(trace, problem, x, residual_norm):
+    """Append iterate x and its residual norm to the trace."""
+    trace.iterates.append(x.copy())
+    trace.residual_norms.append(residual_norm)
+    trace.supports.append(support(x))
+    if trace.errors_to_truth is not None:
+        trace.errors_to_truth.append(float(np.linalg.norm(x - problem.truth)))
+
+
+def _start_trace(problem, starts):
+    trace = IterateTrace(iterates=[], residual_norms=[], supports=[],
+                         errors_to_truth=None if problem.truth is None else [],
+                         candidate_residual_norms=[])
+    for x in starts:
+        _record(trace, problem, x, float(np.linalg.norm(problem.y - problem.A @ x)))
+    return trace
+
+
+def _run_omp(problem, cfg):
+    """Orthogonal matching pursuit: greedy atom selection by max correlation,
+    exactly k steps (fewer only if the residual tolerance is hit early)."""
+    A, y, k = problem.A, problem.y, problem.k
+    x = np.zeros(problem.n)
+    trace = _start_trace(problem, [x])
+    selected = []
+    while len(selected) < k and trace.residual_norms[-1] > cfg.residual_tol:
+        corr = np.abs(A.T @ (y - A @ x))
+        corr[selected] = -np.inf  # never re-select an atom
+        selected.append(int(np.argmax(corr)))
+        x, _ = least_squares_on_support(A, y, np.sort(selected))
+        _record(trace, problem, x, float(np.linalg.norm(y - A @ x)))
+    reason = "residual_tol" if trace.residual_norms[-1] <= cfg.residual_tol else "max_iter"
+    return RunResult(x_final=x, trace=trace, stop_reason=reason, iterations=len(selected))
+
+
+def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
+    """Run cfg.variant on the problem.  The trace holds the starting points
+    first, and for hbotp/hbrotp each candidate's residual before the re-fit."""
+    if cfg.variant == "omp":
+        return _run_omp(problem, cfg)
+    select, refit, heavy_ball = _VARIANTS[cfg.variant]
     A, y, k = problem.A, problem.y, problem.k
     x_prev = _starting_point(cfg.x0, problem.n, k, "x0")
-    x_curr = _starting_point(cfg.x1, problem.n, k, "x1")
+    x_curr = _starting_point(cfg.x1, problem.n, k, "x1") if heavy_ball else x_prev
+    alpha, beta = (cfg.alpha, cfg.beta) if heavy_ball else (1.0, 0.0)
+    trace = _start_trace(problem, [x_prev, x_curr] if heavy_ball else [x_curr])
 
-    trace = IterateTrace(iterates=[x_prev.copy(), x_curr.copy()],
-                         residual_norms=[float(np.linalg.norm(residual(A, x_prev, y))),
-                                         float(np.linalg.norm(residual(A, x_curr, y)))],
-                         supports=[support(x_prev), support(x_curr)],
-                         errors_to_truth=None if problem.truth is None else [
-                             float(np.linalg.norm(x_prev - problem.truth)),
-                             float(np.linalg.norm(x_curr - problem.truth))],
-                         candidate_residual_norms=[])
-
-    res_curr = trace.residual_norms[-1]
-    col_sq = np.einsum("ij,ij->j", A, A)  # squared column norms of A
+    a_fro = float(np.linalg.norm(A))  # ||A||_F
+    step = float(np.linalg.norm(x_curr - x_prev))
     inner_flags = 0
     stagnant = 0
     iters = 0
     while True:
-        if res_curr <= cfg.residual_tol:
+        if trace.residual_norms[-1] <= cfg.residual_tol:
             reason = "residual_tol"
             break
         if stagnant >= STAGNATION_RUNS:
@@ -129,219 +198,35 @@ def _run_heavy_ball(problem, cfg, step):
         if iters >= cfg.max_iter:
             reason = "max_iter"
             break
-        u = x_curr + cfg.alpha * (A.T @ (y - A @ x_curr)) + cfg.beta * (x_curr - x_prev)
-        with np.errstate(over="ignore"):
-            if not np.isfinite(col_sq @ (u * u)):  # ||A diag(u)||_F^2
-                reason = "diverged"
-                break
-        x_next, cand_res, flags = step(u)
+        # (||A||_F ||u||)^2 bounds every Gram entry the selection forms, and
+        # ||u|| <= ||x|| + alpha ||A||_F ||y - A x|| + beta ||x - x_prev||
+        x_norm = float(np.linalg.norm(x_curr))
+        bound = a_fro * (x_norm + alpha * a_fro * trace.residual_norms[-1] + beta * step)
+        if not math.isfinite(bound * bound):  # Python floats overflow to inf quietly
+            reason = "diverged"
+            break
+        u = _search_point(A, y, x_curr, x_prev, alpha, beta)
+        candidate, flags = select(A, y, u, k, cfg)
+        x_next = candidate
+        if refit:
+            x_next, _ = least_squares_on_support(A, y, support(candidate))
+            if heavy_ball:
+                trace.candidate_residual_norms.append(float(np.linalg.norm(y - A @ candidate)))
         inner_flags += flags
         iters += 1
 
-        res_next = float(np.linalg.norm(y - A @ x_next))
-        trace.iterates.append(x_next.copy())
-        trace.residual_norms.append(res_next)
-        trace.supports.append(support(x_next))
-        if trace.errors_to_truth is not None:
-            trace.errors_to_truth.append(float(np.linalg.norm(x_next - problem.truth)))
-        if cand_res is not None:
-            trace.candidate_residual_norms.append(cand_res)
-
-        if np.linalg.norm(x_next - x_curr) <= STAGNATION_RTOL * (1.0 + np.linalg.norm(x_curr)):
+        _record(trace, problem, x_next, float(np.linalg.norm(y - A @ x_next)))
+        step = float(np.linalg.norm(x_next - x_curr))
+        if step <= STAGNATION_RTOL * (1.0 + x_norm):
             stagnant += 1
         else:
             stagnant = 0
-        x_prev, x_curr, res_curr = x_curr, x_next, res_next
+        x_prev, x_curr = x_curr, x_next
 
     return RunResult(x_final=x_curr, trace=trace, stop_reason=reason,
                      iterations=iters, inner_flags=inner_flags)
 
 
-def run_hbot(problem, cfg):
-    """Heavy-ball step + exact binary selection; the selected entries of u
-    become the next iterate.  Needs n <= 30 (exact selection enumerates)."""
-    if cfg.variant != "hbot":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'hbot'")
-    A, y, k = problem.A, problem.y, problem.k
-
-    def step(u):
-        w, _ = solve_binary_ot(A, y, u, k)
-        return u * w, None, 0
-
-    return _run_heavy_ball(problem, cfg, step)
-
-
-def run_hbotp(problem, cfg):
-    """run_hbot followed by a least-squares re-fit on the selected support."""
-    if cfg.variant != "hbotp":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'hbotp'")
-    A, y, k = problem.A, problem.y, problem.k
-
-    def step(u):
-        w, obj = solve_binary_ot(A, y, u, k)
-        candidate = u * w
-        x_next, _ = least_squares_on_support(A, y, support(candidate))
-        return x_next, float(np.sqrt(max(obj, 0.0))), 0
-
-    return _run_heavy_ball(problem, cfg, step)
-
-
-def _compress(A, y, u, k, omega, qp_cfg):
-    """omega successive relaxed selections, each multiplying into the candidate."""
-    v = u
-    flags = 0
-    for _ in range(omega):
-        w, converged = solve_relaxed_ot(A, y, v, k, qp_cfg)
-        flags += 0 if converged else 1
-        v = v * w
-    return v, flags
-
-
-def run_hbrot(problem, cfg):
-    """Heavy-ball step + omega relaxed compressions + hard thresholding."""
-    if cfg.variant != "hbrot":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'hbrot'")
-    A, y, k = problem.A, problem.y, problem.k
-
-    def step(u):
-        v, flags = _compress(A, y, u, k, cfg.omega, cfg.qp)
-        return hard_threshold(v, k), None, flags
-
-    return _run_heavy_ball(problem, cfg, step)
-
-
-def run_hbrotp(problem, cfg):
-    """run_hbrot followed by a least-squares re-fit on the thresholded support."""
-    if cfg.variant != "hbrotp":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'hbrotp'")
-    A, y, k = problem.A, problem.y, problem.k
-
-    def step(u):
-        v, flags = _compress(A, y, u, k, cfg.omega, cfg.qp)
-        candidate = hard_threshold(v, k)
-        x_next, _ = least_squares_on_support(A, y, support(candidate))
-        cand_res = float(np.linalg.norm(y - A @ candidate))
-        return x_next, cand_res, flags
-
-    return _run_heavy_ball(problem, cfg, step)
-
-
-def _run_single_point(problem, cfg, step):
-    """One-point recursion shared by the gradient baselines."""
-    A, y = problem.A, problem.y
-    x_curr = _starting_point(cfg.x0, problem.n, problem.k, "x0")
-    trace = IterateTrace(iterates=[x_curr.copy()],
-                         residual_norms=[float(np.linalg.norm(y - A @ x_curr))],
-                         supports=[support(x_curr)],
-                         errors_to_truth=None if problem.truth is None else [
-                             float(np.linalg.norm(x_curr - problem.truth))])
-    res_curr = trace.residual_norms[-1]
-    stagnant = 0
-    iters = 0
-    while True:
-        if res_curr <= cfg.residual_tol:
-            reason = "residual_tol"
-            break
-        if stagnant >= STAGNATION_RUNS:
-            reason = "stagnation"
-            break
-        if iters >= cfg.max_iter:
-            reason = "max_iter"
-            break
-        x_next = step(x_curr)
-        iters += 1
-        res_next = float(np.linalg.norm(y - A @ x_next))
-        trace.iterates.append(x_next.copy())
-        trace.residual_norms.append(res_next)
-        trace.supports.append(support(x_next))
-        if trace.errors_to_truth is not None:
-            trace.errors_to_truth.append(float(np.linalg.norm(x_next - problem.truth)))
-        if np.linalg.norm(x_next - x_curr) <= STAGNATION_RTOL * (1.0 + np.linalg.norm(x_curr)):
-            stagnant += 1
-        else:
-            stagnant = 0
-        x_curr, res_curr = x_next, res_next
-    return RunResult(x_final=x_curr, trace=trace, stop_reason=reason, iterations=iters)
-
-
-def run_iht(problem, cfg):
-    """Iterative hard thresholding: x <- H_k(x + A^T (y - A x)), unit step."""
-    if cfg.variant != "iht":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'iht'")
-    A, y, k = problem.A, problem.y, problem.k
-
-    def step(x):
-        return hard_threshold(x + A.T @ (y - A @ x), k)
-
-    return _run_single_point(problem, cfg, step)
-
-
-def run_htp(problem, cfg):
-    """Hard thresholding pursuit: the IHT support, then least squares on it."""
-    if cfg.variant != "htp":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'htp'")
-    A, y, k = problem.A, problem.y, problem.k
-
-    def step(x):
-        S = top_k_indices(x + A.T @ (y - A @ x), k)
-        x_next, _ = least_squares_on_support(A, y, S)
-        return x_next
-
-    return _run_single_point(problem, cfg, step)
-
-
-def run_omp(problem, cfg):
-    """Orthogonal matching pursuit: greedy atom selection by max correlation,
-    exactly k steps (fewer only if the residual tolerance is hit early)."""
-    if cfg.variant != "omp":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'omp'")
-    A, y, k = problem.A, problem.y, problem.k
-    x_curr = np.zeros(problem.n)
-    trace = IterateTrace(iterates=[x_curr.copy()],
-                         residual_norms=[float(np.linalg.norm(y))],
-                         supports=[support(x_curr)],
-                         errors_to_truth=None if problem.truth is None else [
-                             float(np.linalg.norm(x_curr - problem.truth))])
-    selected = []
-    reason = "max_iter"  # OMP's budget is exactly k selections
-    iters = 0
-    for _ in range(k):
-        r = y - A @ x_curr
-        if float(np.linalg.norm(r)) <= cfg.residual_tol:
-            reason = "residual_tol"
-            break
-        corr = np.abs(A.T @ r)
-        corr[selected] = -np.inf  # never re-select an atom
-        selected.append(int(np.argmax(corr)))
-        x_curr, _ = least_squares_on_support(A, y, np.sort(selected))
-        iters += 1
-        trace.iterates.append(x_curr.copy())
-        trace.residual_norms.append(float(np.linalg.norm(y - A @ x_curr)))
-        trace.supports.append(support(x_curr))
-        if trace.errors_to_truth is not None:
-            trace.errors_to_truth.append(float(np.linalg.norm(x_curr - problem.truth)))
-    else:
-        if float(np.linalg.norm(y - A @ x_curr)) <= cfg.residual_tol:
-            reason = "residual_tol"
-    return RunResult(x_final=x_curr, trace=trace, stop_reason=reason, iterations=iters)
-
-
-RUNNERS = {
-    "hbot": run_hbot,
-    "hbotp": run_hbotp,
-    "hbrot": run_hbrot,
-    "hbrotp": run_hbrotp,
-    "iht": run_iht,
-    "htp": run_htp,
-    "omp": run_omp,
-}
-
-
-def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
-    """Dispatch on cfg.variant."""
-    return RUNNERS[cfg.variant](problem, cfg)
-
-
 def config_for(variant, **kwargs):
-    """AlgorithmConfig for a variant with the shared defaults."""
-    return replace(AlgorithmConfig(variant=variant), **kwargs)
+    """AlgorithmConfig for a variant at the operating point, with overrides."""
+    return AlgorithmConfig(variant=variant, **kwargs)

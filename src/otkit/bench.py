@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import AlgorithmConfig, run
+from .algorithms import AlgorithmConfig, config_for, run
 from .core import ProblemInstance
 from .errors import EnumerationGuardError
 
@@ -123,25 +123,23 @@ class TrialRecord:
     rho_index: int = 0
     trial_index: int = 0
     error: str | None = None
+    stop_reason: str | None = None
 
 
-def default_config(algorithm):
-    """The operating point used throughout the benchmarks."""
-    return AlgorithmConfig(variant=algorithm, alpha=5.0, beta=0.2, omega=1,
-                           max_iter=50, residual_tol=1e-10)
+# The operating point, under the name the benchmark scripts look up.
+default_config = config_for
 
 
 def run_trial(spec, algorithm, config=None):
     """Generate the instance, run the algorithm, score the recovery.
 
-    Guard refusals (e.g. exact selection beyond its enumeration limit) are
-    recorded as failed trials with an error tag rather than raised.  Under
-    noise the residual tolerance is raised to the noise level, since no
-    iterate can be expected to fit y closer than ||noise||.
+    Guard refusals (exact selection beyond its enumeration limit) are
+    recorded as failed trials with the error's class name and no stop reason
+    rather than raised; every other exception propagates.  Under noise the
+    residual tolerance is raised to the noise level, since no iterate can be
+    expected to fit y closer than ||noise||.
     """
-    if config is None:
-        config = default_config(algorithm)
-    cfg = config if config.variant == algorithm else replace(config, variant=algorithm)
+    cfg = config_for(algorithm) if config is None else replace(config, variant=algorithm)
     if spec.noise_eps > 0 and cfg.residual_tol < spec.noise_eps:
         cfg = replace(cfg, residual_tol=spec.noise_eps)
     start = time.perf_counter()
@@ -154,8 +152,8 @@ def run_trial(spec, algorithm, config=None):
                              success=rel <= SUCCESS_REL_TOL,
                              iterations=result.iterations,
                              wall_time=time.perf_counter() - start,
-                             rel_error=rel)
-    except (EnumerationGuardError, ValueError) as exc:
+                             rel_error=rel, stop_reason=result.stop_reason)
+    except EnumerationGuardError as exc:
         record = TrialRecord(spec=spec, algorithm=algorithm, config=cfg,
                              success=False, iterations=0,
                              wall_time=time.perf_counter() - start,
@@ -222,7 +220,7 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
 
     tasks = []
     for algorithm in algorithms:
-        config = configs.get(algorithm) or default_config(algorithm)
+        config = configs.get(algorithm) or config_for(algorithm)
         for ki, kappa in enumerate(kappa_list):
             for ri, rho in enumerate(rho_list):
                 for ti in range(trials_per_cell):

@@ -273,6 +273,30 @@ def _validated(alpha, beta):
         raise ValueError("beta must be nonnegative")
 
 
+def _hbot_window(eta, dks):
+    """beta_max and interval(beta) -> (alpha_lo, alpha_hi) of the exact-selection
+    variants, given eta and delta_(k+s(k))."""
+    root5 = math.sqrt(5.0)
+
+    def interval(beta):
+        return ((1.0 + 2.0 * beta - 1.0 / eta) / (1.0 - root5 * dks),
+                (1.0 + 1.0 / eta) / (1.0 + root5 * dks))
+
+    return (1.0 + 1.0 / eta) / (1.0 + root5 * dks) - 1.0, interval
+
+
+def _hbrot_window(d0, d1, d2, target):
+    """beta_max and interval(beta) -> (alpha_lo, alpha_hi) of the relaxed variants;
+    target is 1 for hbrot and z_k for hbrotp (endpoints shift by 1 - z_k)."""
+    shift = 1.0 - target
+
+    def interval(beta):
+        return (((d0 + d2 + 2.0) * beta + d0 + shift) / (d0 - d1 + 1.0),
+                (d0 + 2.0 - shift - (d2 - d0) * beta) / (d0 + d1 + 1.0))
+
+    return (target - d1) / (1.0 + d1 + d2), interval
+
+
 def hbot_constants(ric, alpha, beta, a0=None, a1=None, check=True):
     """Contraction constants for the exact-selection variants (with or without
     the pursuit re-fit; both share one envelope).
@@ -301,12 +325,11 @@ def hbot_constants(ric, alpha, beta, a0=None, a1=None, check=True):
 
     eta = math.sqrt((1.0 + dk) / denom)
     root5 = math.sqrt(5.0)
-    beta_max = (1.0 + 1.0 / eta) / (1.0 + root5 * dks) - 1.0
+    beta_max, interval = _hbot_window(eta, dks)
     if not beta < beta_max:
         violations.append(f"beta={beta:.6g} >= beta_max={beta_max:.6g}")
     if 1.0 - root5 * dks > 0.0:
-        alpha_lo = (1.0 + 2.0 * beta - 1.0 / eta) / (1.0 - root5 * dks)
-        alpha_hi = (1.0 + 1.0 / eta) / (1.0 + root5 * dks)
+        alpha_lo, alpha_hi = interval(beta)
         if not alpha_lo < alpha < alpha_hi:
             violations.append(f"alpha={alpha:.6g} outside ({alpha_lo:.6g}, {alpha_hi:.6g})")
     else:
@@ -398,13 +421,11 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     theta2 = (b1 + math.sqrt(b1 * b1 + 4.0 * b2 * z_k)) / (2.0 * z_k)
 
     target = 1.0 if variant == "hbrot" else z_k
-    shift = 0.0 if variant == "hbrot" else 1.0 - z_k  # window endpoints shift by 1-z_k
-    beta_max = (target - d1) / (1.0 + d1 + d2)
+    beta_max, interval = _hbrot_window(d0, d1, d2, target)
     if not beta < beta_max:
         violations.append(f"beta={beta:.6g} >= beta_max={beta_max:.6g}")
     if d0 - d1 + 1.0 > 0.0:
-        alpha_lo = ((d0 + d2 + 2.0) * beta + d0 + shift) / (d0 - d1 + 1.0)
-        alpha_hi = (d0 + 2.0 - shift - (d2 - d0) * beta) / (d0 + d1 + 1.0)
+        alpha_lo, alpha_hi = interval(beta)
         if not alpha_lo < alpha < alpha_hi:
             violations.append(f"alpha={alpha:.6g} outside ({alpha_lo:.6g}, {alpha_hi:.6g})")
     else:
@@ -426,29 +447,19 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
 def parameter_window(ric, omega=1, variant="hbot", n=None):
     """Admissible momentum range and, per beta, the open step-size interval.
 
-    Returns (beta_max, interval) where interval(beta) -> (alpha_lo, alpha_hi).
-    For beta < beta_max the interval is nonempty and contains 1 + beta.  The
-    relaxed variants need the ambient dimension n (for the block count).
+    Returns (beta_max, interval) where interval(beta) -> (alpha_lo, alpha_hi),
+    the window hbot_constants/hbrot_constants check.  For beta < beta_max the
+    interval is nonempty and contains 1 + beta.  The relaxed variants need the
+    ambient dimension n (for the block count).
     """
     if variant in ("hbot", "hbotp"):
-        dk, dks = ric.delta_k, ric.delta_k_sk
+        dks = ric.delta_k_sk
         gs = gamma_star()
         if not dks < gs:
             raise ParameterWindowError(f"delta_(k+s(k))={dks:.6g} >= gamma*={gs:.6g}")
-        denom = 1.0 - 2.0 * dk - dks
-        eta = math.sqrt((1.0 + dk) / denom)
-        root5 = math.sqrt(5.0)
-        beta_max = (1.0 + 1.0 / eta) / (1.0 + root5 * dks) - 1.0
-
-        def interval(beta):
-            if beta < 0:
-                raise ValueError("beta must be nonnegative")
-            return ((1.0 + 2.0 * beta - 1.0 / eta) / (1.0 - root5 * dks),
-                    (1.0 + 1.0 / eta) / (1.0 + root5 * dks))
-
-        return beta_max, interval
-
-    if variant in ("hbrot", "hbrotp"):
+        eta = hbot_constants(ric, alpha=1.0, beta=0.0, check=False).eta
+        beta_max, alpha_interval = _hbot_window(eta, dks)
+    elif variant in ("hbrot", "hbrotp"):
         if n is None:
             raise ValueError("the relaxed variants need the ambient dimension n")
         bc = hbrot_constants(ric, alpha=1.0, beta=0.0, omega=omega, n=n,
@@ -458,20 +469,17 @@ def parameter_window(ric, omega=1, variant="hbot", n=None):
             raise ParameterWindowError(f"delta_3k={ric.delta_3k:.6g} >= {bound:.6g}")
         if not n > 3 * ric.k:
             raise ParameterWindowError(f"n={n} <= 3k={3 * ric.k}")
-        d0, d1, d2 = bc.d0, bc.d1, bc.d2
         target = 1.0 if variant == "hbrot" else bc.z_k
-        shift = 0.0 if variant == "hbrot" else 1.0 - bc.z_k
-        beta_max = (target - d1) / (1.0 + d1 + d2)
+        beta_max, alpha_interval = _hbrot_window(bc.d0, bc.d1, bc.d2, target)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
 
-        def interval(beta):
-            if beta < 0:
-                raise ValueError("beta must be nonnegative")
-            return (((d0 + d2 + 2.0) * beta + d0 + shift) / (d0 - d1 + 1.0),
-                    (d0 + 2.0 - shift - (d2 - d0) * beta) / (d0 + d1 + 1.0))
+    def interval(beta):
+        if beta < 0:
+            raise ValueError("beta must be nonnegative")
+        return alpha_interval(beta)
 
-        return beta_max, interval
-
-    raise ValueError(f"unknown variant {variant!r}")
+    return beta_max, interval
 
 
 def convergence_envelope(bc, a0, a1, noise_norm, p):

@@ -32,8 +32,6 @@ EXIT_USAGE = 2
 EXIT_WINDOW = 3
 EXIT_IO = 4
 
-# Operating point used when flags are omitted (matches the benchmark defaults).
-DEFAULTS = dict(alpha=5.0, beta=0.2, omega=1, max_iter=50, tol=1e-10)
 GRID_DEFAULTS = dict(n=256, kappa_min=0.5, kappa_max=0.5, kappa_step=0.05,
                      rho_min=0.30, rho_max=0.55, rho_step=0.05,
                      trials=10, algos="hbrotp", eps=0.0)
@@ -212,12 +210,12 @@ def build_parser():
     p.add_argument("--A", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--algo", default="hbrotp", choices=ALL_VARIANTS)
-    p.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
-    p.add_argument("--beta", type=float, default=DEFAULTS["beta"])
-    p.add_argument("--omega", type=int, default=DEFAULTS["omega"])
-    p.add_argument("--max-iter", type=int, default=DEFAULTS["max_iter"])
-    p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
+    p.add_argument("--algo", default=AlgorithmConfig.variant, choices=ALL_VARIANTS)
+    p.add_argument("--alpha", type=float, default=AlgorithmConfig.alpha)
+    p.add_argument("--beta", type=float, default=AlgorithmConfig.beta)
+    p.add_argument("--omega", type=int, default=AlgorithmConfig.omega)
+    p.add_argument("--max-iter", type=int, default=AlgorithmConfig.max_iter)
+    p.add_argument("--tol", type=float, default=AlgorithmConfig.residual_tol)
     p.add_argument("--truth", default=None)
     p.add_argument("--out", default="x.csv")
     p.set_defaults(func=cmd_recover)

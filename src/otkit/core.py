@@ -52,15 +52,6 @@ def hard_threshold(v, k):
     return out
 
 
-def hadamard(u, w):
-    """Entrywise product of two equal-length vectors."""
-    u = as_vector(u, "u")
-    w = as_vector(w, "w")
-    if u.size != w.size:
-        raise ValueError(f"length mismatch: {u.size} vs {w.size}")
-    return u * w
-
-
 def residual(A, x, y):
     """y - A x, with dimension checks."""
     A = as_matrix(A, "A")

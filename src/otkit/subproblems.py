@@ -205,8 +205,9 @@ def solve_binary_ot(A, y, v, k):
     """Exact best binary selector: minimise ||y - A (v*w)||^2 over w in {0,1}^n, sum(w)=k.
 
     Exhaustive enumeration over all k-subsets in lexicographic order; ties keep
-    the lexicographically smallest support.  Refuses n > 30, where C(n, k) stops
-    being a practical oracle, directing callers to the relaxation.
+    the lexicographically smallest support, so when every objective overflows
+    the first subset is returned with objective inf.  Refuses n > 30, where
+    C(n, k) stops being a practical oracle, directing callers to the relaxation.
 
     Returns (w, objective).
     """
@@ -226,7 +227,7 @@ def solve_binary_ot(A, y, v, k):
 
     B = A * v
     best_obj = math.inf
-    best_support = None
+    best_support = tuple(range(k))
     for S in combinations(range(n), k):
         r = y - B[:, S].sum(axis=1)
         obj = float(r @ r)

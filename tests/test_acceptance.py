@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from otkit.algorithms import config_for, run_hbotp, run_hbrotp
+from otkit.algorithms import config_for, run
 from otkit.bench import (EnsembleSpec, equiangular_frame, run_trial,
                          success_grid, transition_point, trial_seed)
 from otkit.bounds import (convergence_envelope, gamma_sharp_omega, gamma_star,
@@ -62,7 +62,7 @@ def test_criterion_3_reduction_equivalence():
         problem = ProblemInstance(A=A, y=y, k=k, truth=truth)
         cfg = config_for("hbrotp", alpha=1.0, beta=0.0, omega=1,
                          max_iter=30, residual_tol=1e-10)
-        ours = run_hbrotp(problem, cfg)
+        ours = run(problem, cfg)
 
         x = np.zeros(n)
         iterates, supports = [x.copy()], [np.flatnonzero(x)]
@@ -162,7 +162,7 @@ def test_criterion_6_envelope_dominance():
         else:
             noise, y, noise_norm = None, A @ truth, 0.0
         problem = ProblemInstance(A=A, y=y, k=1, truth=truth, noise=noise)
-        result = run_hbrotp(problem, config_for(
+        result = run(problem, config_for(
             "hbrotp", alpha=alpha, beta=beta, max_iter=50, residual_tol=0.0))
         errors = np.asarray(result.trace.errors_to_truth)
         assert errors.size >= 3  # at least one produced iterate to check
@@ -181,7 +181,7 @@ def test_criterion_6_envelope_dominance():
         truth2 = np.zeros(n)
         truth2[list(rng.choice(n, size=2, replace=False))] = rng.standard_normal(2)
         problem2 = ProblemInstance(A=A, y=A @ truth2, k=2, truth=truth2)
-        result2 = run_hbotp(problem2, config_for(
+        result2 = run(problem2, config_for(
             "hbotp", alpha=alpha2, beta=beta2, max_iter=50, residual_tol=0.0))
         errors2 = np.asarray(result2.trace.errors_to_truth)
         ps2 = np.arange(2, min(errors2.size - 1, 50) + 1)

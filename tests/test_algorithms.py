@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from otkit.algorithms import (AlgorithmConfig, config_for, heavy_ball_point,
-                              run, run_hbot, run_hbotp, run_hbrot, run_hbrotp,
-                              run_htp, run_iht, run_omp)
+from otkit import algorithms
+from otkit.algorithms import AlgorithmConfig, _search_point, config_for, run
 from otkit.bench import equiangular_frame
 from otkit.bounds import convergence_envelope, hbot_constants, ric_profile
 from otkit.core import ProblemInstance, hard_threshold
@@ -29,35 +28,35 @@ class TestHeavyBallPoint:
         r = np.array([y[i] - sum(A[i, j] * x[j] for j in range(9)) for i in range(5)])
         grad = np.array([sum(A[i, j] * r[i] for i in range(5)) for j in range(9)])
         expected = x + alpha * grad + beta * (x - x_prev)
-        got = heavy_ball_point(A, y, x, x_prev, alpha, beta)
+        got = _search_point(A, y, x, x_prev, alpha, beta)
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_zero_beta_is_gradient_step(self, rng):
         A = rng.normal(0, 1, (4, 7))
         y = rng.normal(0, 1, 4)
         x = rng.normal(0, 1, 7)
-        got = heavy_ball_point(A, y, x, rng.normal(0, 1, 7), 1.0, 0.0)
+        got = _search_point(A, y, x, rng.normal(0, 1, 7), 1.0, 0.0)
         np.testing.assert_array_equal(got, x + A.T @ (y - A @ x))
 
     def test_fixed_point_at_truth(self, rng):
         A, y, truth, _ = gaussian_instance(rng, 6, 10, 2)
-        got = heavy_ball_point(A, y, truth, truth, 1.0, 0.5)
+        got = _search_point(A, y, truth, truth, 1.0, 0.5)
         np.testing.assert_allclose(got, truth, atol=1e-14)
 
     def test_first_step_from_zero(self, rng):
         A = rng.normal(0, 1, (4, 7))
         y = rng.normal(0, 1, 4)
         z = np.zeros(7)
-        got = heavy_ball_point(A, y, z, z, 2.5, 0.4)
+        got = _search_point(A, y, z, z, 2.5, 0.4)
         np.testing.assert_array_equal(got, 2.5 * (A.T @ y))
 
 
 class TestExactSelectionVariants:
-    @pytest.mark.parametrize("runner,variant", [(run_hbot, "hbot"), (run_hbotp, "hbotp")])
-    def test_identity_one_step(self, runner, variant):
+    @pytest.mark.parametrize("variant", ["hbot", "hbotp"], ids=lambda v: f"run_{v}-{v}")
+    def test_identity_one_step(self, variant):
         problem = identity_problem()
         cfg = config_for(variant, alpha=1.0, beta=0.0)
-        result = runner(problem, cfg)
+        result = run(problem, cfg)
         assert result.iterations == 1
         np.testing.assert_allclose(result.x_final, problem.truth, atol=1e-12)
         assert result.stop_reason == "residual_tol"
@@ -73,8 +72,8 @@ class TestExactSelectionVariants:
         truth = np.zeros(n)
         truth[[3, 11]] = rng.standard_normal(2)
         problem = ProblemInstance(A=A, y=A @ truth, k=k, truth=truth)
-        result = run_hbotp(problem, config_for("hbotp", alpha=1.0 + beta, beta=beta,
-                                               max_iter=50))
+        result = run(problem, config_for("hbotp", alpha=1.0 + beta, beta=beta,
+                                         max_iter=50))
         errors = np.asarray(result.trace.errors_to_truth)
         assert errors[-1] <= 1e-6 * np.linalg.norm(truth)
         envelope = convergence_envelope(bc, errors[0], errors[1], 0.0,
@@ -85,11 +84,7 @@ class TestExactSelectionVariants:
         A, y, truth, _ = gaussian_instance(rng, 16, 31, 2)
         problem = ProblemInstance(A=A, y=y, k=2, truth=truth)
         with pytest.raises(EnumerationGuardError):
-            run_hbot(problem, config_for("hbot", alpha=1.0, beta=0.0))
-
-    def test_variant_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            run_hbot(identity_problem(), config_for("hbotp"))
+            run(problem, config_for("hbot", alpha=1.0, beta=0.0))
 
 
 class TestRelaxedVariants:
@@ -101,7 +96,7 @@ class TestRelaxedVariants:
             problem = ProblemInstance(A=A, y=y, k=5, truth=truth)
             cfg = config_for("hbrotp", alpha=1.0, beta=0.0, omega=1, max_iter=25,
                              residual_tol=1e-10)
-            result = run_hbrotp(problem, cfg)
+            result = run(problem, cfg)
 
             x = np.zeros(64)
             oracle = [x.copy()]
@@ -130,7 +125,7 @@ class TestRelaxedVariants:
             problem = ProblemInstance(A=A, y=y, k=4, truth=truth)
             cfg = config_for("hbrotp", alpha=1.0, beta=0.0, omega=2, max_iter=15,
                              residual_tol=1e-10)
-            result = run_hbrotp(problem, cfg)
+            result = run(problem, cfg)
 
             x = np.zeros(48)
             oracle = [x.copy()]
@@ -156,7 +151,7 @@ class TestRelaxedVariants:
     def test_zero_truth_stops_immediately(self, rng):
         A = rng.normal(0, 1, (6, 12))
         problem = ProblemInstance(A=A, y=np.zeros(6), k=2, truth=np.zeros(12))
-        result = run_hbrotp(problem, config_for("hbrotp"))
+        result = run(problem, config_for("hbrotp"))
         assert result.iterations == 0
         assert result.stop_reason == "residual_tol"
         np.testing.assert_array_equal(result.x_final, np.zeros(12))
@@ -165,15 +160,15 @@ class TestRelaxedVariants:
         local = np.random.default_rng(7)
         A, y, truth, _ = gaussian_instance(local, 128, 256, 12)
         problem = ProblemInstance(A=A, y=y, k=12, truth=truth)
-        result = run_hbrotp(problem, config_for("hbrotp", alpha=5.0, beta=0.2))
+        result = run(problem, config_for("hbrotp", alpha=5.0, beta=0.2))
         rel = np.linalg.norm(result.x_final - truth) / np.linalg.norm(truth)
         assert rel <= 1e-3
 
     def test_omega_two_compressions(self, rng):
         A, y, truth, _ = gaussian_instance(rng, 24, 48, 4)
         problem = ProblemInstance(A=A, y=y, k=4, truth=truth)
-        result = run_hbrot(problem, config_for("hbrot", alpha=1.0, beta=0.1,
-                                               omega=2, max_iter=40))
+        result = run(problem, config_for("hbrot", alpha=1.0, beta=0.1,
+                                         omega=2, max_iter=40))
         assert all(np.count_nonzero(x) <= 4 for x in result.trace.iterates)
 
 
@@ -224,38 +219,40 @@ class TestSharedBehaviour:
         A, y, truth, noise = gaussian_instance(local, 20, 30, 2, noise_eps=0.1)
         problem = ProblemInstance(A=A, y=y, k=2, truth=truth, noise=noise)
         cfg = config_for("htp", max_iter=200, residual_tol=0.0)
-        result = run_htp(problem, cfg)
+        result = run(problem, cfg)
         assert result.stop_reason == "stagnation"
         assert result.iterations < 200
 
     def test_divergence_is_a_stop_reason(self):
         # alpha far outside the window: |u| grows ~1e5 per step until A diag(u)
-        # overflows, where the relaxed selection's Gram could not be formed
+        # overflows, where the relaxed selection's Gram could not be formed;
+        # IHT's unit step grows as fast on a matrix with norm ~1e3
         rng = np.random.default_rng(0)
         A = rng.standard_normal((32, 64))
         truth = np.zeros(64)
         truth[rng.choice(64, 3, replace=False)] = rng.standard_normal(3)
-        problem = ProblemInstance(A=A, y=A @ truth, k=3, truth=truth)
-        with np.errstate(over="raise"):
-            result = run(problem, config_for("hbrot", alpha=1e6, beta=0.9))
-        assert result.stop_reason == "diverged"
-        assert result.iterations < 50
-        assert np.isfinite(result.x_final).all()
-        np.testing.assert_array_equal(result.x_final, result.trace.iterates[-1])
-        assert len(result.trace.iterates) == result.iterations + 2
+        for scale, cfg, starts in ((1.0, config_for("hbrot", alpha=1e6, beta=0.9), 2),
+                                   (100.0, config_for("iht", max_iter=500), 1)):
+            problem = ProblemInstance(A=scale * A, y=scale * A @ truth, k=3, truth=truth)
+            with np.errstate(over="raise"):
+                result = run(problem, cfg)
+            assert result.stop_reason == "diverged"
+            assert result.iterations < 50
+            assert np.isfinite(result.x_final).all()
+            np.testing.assert_array_equal(result.x_final, result.trace.iterates[-1])
+            assert len(result.trace.iterates) == result.iterations + starts
 
     def test_sparse_start_enforced(self, rng):
         problem = identity_problem(k=2)
         with pytest.raises(ValueError, match="k-sparse"):
-            run_hbrotp(problem, config_for("hbrotp", x0=np.ones(8), x1=np.zeros(8)))
+            run(problem, config_for("hbrotp", x0=np.ones(8), x1=np.zeros(8)))
 
 
 class TestBaselines:
-    @pytest.mark.parametrize("runner,variant", [(run_iht, "iht"), (run_htp, "htp"),
-                                                (run_omp, "omp")])
-    def test_identity_recovery(self, runner, variant):
+    @pytest.mark.parametrize("variant", ["iht", "htp", "omp"], ids=lambda v: f"run_{v}-{v}")
+    def test_identity_recovery(self, variant):
         problem = identity_problem(k=3)
-        result = runner(problem, config_for(variant))
+        result = run(problem, config_for(variant))
         assert result.iterations <= 3
         np.testing.assert_allclose(result.x_final, problem.truth, atol=1e-12)
 
@@ -263,23 +260,42 @@ class TestBaselines:
         A, _, _, _ = gaussian_instance(rng, 10, 20, 1)
         j = 13
         problem = ProblemInstance(A=A, y=A[:, j].copy(), k=1)
-        result = run_omp(problem, config_for("omp"))
+        result = run(problem, config_for("omp"))
         assert list(result.trace.supports[1]) == [j]
 
     def test_omp_runs_exactly_k_steps(self, rng):
         A = rng.normal(0, 1, (12, 30))
         A /= np.linalg.norm(A, axis=0)
         y = rng.normal(0, 1, 12)  # generic y: no early residual stop
-        problem = ProblemInstance(A=A, y=y, k=4)
-        result = run_omp(problem, config_for("omp"))
-        assert result.iterations == 4
-        assert len(result.trace.supports[-1]) == 4
+        truth = np.zeros(30)
+        truth[[4, 17]] = [1.0, -2.0]
+        # noiseless y of sparsity 2 < k: with residual_tol=0 OMP still spends
+        # its whole budget of k selections, with no stagnation stop
+        for y, tol in ((y, 1e-10), (A @ truth, 0.0)):
+            problem = ProblemInstance(A=A, y=y, k=4)
+            result = run(problem, config_for("omp", residual_tol=tol))
+            assert result.iterations == 4
+            assert len(result.trace.supports[-1]) == 4
+            assert result.stop_reason == "max_iter"
+
+    @pytest.mark.parametrize("variant", ["iht", "htp"])
+    def test_unit_step_ignores_alpha_beta(self, variant):
+        local = np.random.default_rng(6)
+        A, y, truth, _ = gaussian_instance(local, 32, 64, 6)
+        problem = ProblemInstance(A=A, y=y, k=6, truth=truth)
+        plain = run(problem, config_for(variant, alpha=1.0, beta=0.0, max_iter=20))
+        weighted = run(problem, config_for(variant, alpha=5.0, beta=0.2, max_iter=20))
+        assert weighted.stop_reason == plain.stop_reason
+        assert weighted.iterations == plain.iterations > 0
+        assert weighted.trace.residual_norms == plain.trace.residual_norms
+        for a, b in zip(weighted.trace.iterates, plain.trace.iterates, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_htp_matches_direct_recursion(self):
         local = np.random.default_rng(3)
         A, y, truth, _ = gaussian_instance(local, 64, 128, 5)
         problem = ProblemInstance(A=A, y=y, k=5, truth=truth)
-        result = run_htp(problem, config_for("htp", max_iter=30))
+        result = run(problem, config_for("htp", max_iter=30))
         rel = np.linalg.norm(result.x_final - truth) / np.linalg.norm(truth)
         assert rel <= 1e-10
 
@@ -298,6 +314,33 @@ class TestBaselines:
         assert len(ours) == len(oracle)
         for a, b in zip(ours, oracle):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+class TestInnerSolveLookup:
+    @pytest.mark.parametrize("variant,name", [
+        ("hbrotp", "solve_relaxed_ot"),
+        ("hbrotp", "least_squares_on_support"),
+        ("hbot", "solve_binary_ot"),
+        ("htp", "least_squares_on_support"),
+    ])
+    def test_patched_solver_sees_every_step(self, variant, name, monkeypatch):
+        # instrumentation replaces these module attributes; each outer step
+        # must call the replacement, not a function captured at import time
+        original = getattr(algorithms, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, name, counting)
+        local = np.random.default_rng(42)
+        A, y, truth, _ = gaussian_instance(local, 12, 20, 3)
+        problem = ProblemInstance(A=A, y=y, k=3, truth=truth)
+        result = run(problem, config_for(variant, alpha=1.0, beta=0.1, max_iter=5,
+                                         residual_tol=0.0))
+        assert result.iterations > 0
+        assert len(calls) == result.iterations
 
 
 class TestConfig:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import otkit.bench
 from otkit.algorithms import config_for
 from otkit.bench import (EnsembleSpec, equiangular_frame, generate_instance,
                          run_trial, success_grid, transition_curve,
@@ -104,13 +105,31 @@ class TestRunTrial:
         assert record.rel_error <= 1e-3
         assert record.wall_time > 0
         assert record.error is None
+        assert record.stop_reason == "residual_tol"
 
     def test_guard_becomes_failed_trial(self):
         spec = EnsembleSpec(n=64, kappa=0.5, rho=0.1, seed=4)
         record = run_trial(spec, "hbot", config_for("hbot"))
         assert not record.success
         assert record.error == "EnumerationGuardError"
+        assert record.stop_reason is None
         assert math.isinf(record.rel_error)
+
+    def test_divergence_is_recorded(self):
+        spec = EnsembleSpec(n=32, kappa=0.5, rho=0.1, seed=1)
+        record = run_trial(spec, "hbrot", config_for("hbrot", alpha=1e9, beta=0.9))
+        assert not record.success
+        assert record.error is None
+        assert record.stop_reason == "diverged"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(problem, cfg):
+            raise ValueError("not a guard refusal")
+
+        monkeypatch.setattr(otkit.bench, "run", broken)
+        spec = EnsembleSpec(n=32, kappa=0.5, rho=0.1, seed=1)
+        with pytest.raises(ValueError, match="not a guard refusal"):
+            run_trial(spec, "iht")
 
     def test_noise_scales_residual_tol(self):
         spec = EnsembleSpec(n=64, kappa=0.75, rho=0.1, noise_eps=5e-3, seed=8)

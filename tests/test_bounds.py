@@ -319,6 +319,36 @@ class TestParameterWindow:
                 lo, hi = interval(beta)
                 assert lo < 1 + beta < hi
 
+    @pytest.mark.parametrize("variant", ["hbot", "hbrot", "hbrotp"])
+    def test_window_agrees_with_constants(self, variant, rng):
+        # the window is the one hbot_constants/hbrot_constants check: alpha
+        # inside it violates nothing, alpha at either endpoint is rejected
+        for _ in range(50):
+            k = int(rng.integers(1, 5))
+            n = 3 * k + int(rng.integers(1, 30))
+            omega = int(rng.integers(1, 3))
+            bound = {"hbot": gamma_star(), "hbrot": gamma_star_omega(omega),
+                     "hbrotp": gamma_sharp_omega(omega)}[variant]
+            dk, dkp1, d2k, d3k = np.sort(rng.uniform(0, 0.95 * bound, 4))
+            ric = RICProfile(k=k, delta_k=dk, delta_2k=d2k, delta_3k=d3k,
+                             delta_kp1=dkp1, exact=False)
+            beta_max, interval = parameter_window(ric, omega=omega, variant=variant, n=n)
+            assert beta_max > 0
+            beta = float(rng.uniform(0, 0.999)) * beta_max
+            lo, hi = interval(beta)
+
+            def violations(alpha):
+                if variant == "hbot":
+                    bc = hbot_constants(ric, alpha, beta, check=False)
+                else:
+                    bc = hbrot_constants(ric, alpha, beta, omega, n, variant=variant,
+                                         check=False)
+                return [v for v in bc.violations if v.startswith(("alpha=", "beta="))]
+
+            assert violations(0.5 * (lo + hi)) == []
+            for alpha in (lo, hi):
+                assert [v[:6] for v in violations(alpha)] == ["alpha="]
+
     def test_beta_max_collapses_at_root(self):
         g = gamma_star()
         betas = []

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit.core import (IterateTrace, ProblemInstance, hadamard,
-                        hard_threshold, load_matrix_csv, load_vector_csv,
-                        residual, save_matrix_csv, save_vector_csv, support,
+from otkit.core import (IterateTrace, ProblemInstance, hard_threshold,
+                        load_matrix_csv, load_vector_csv, residual,
+                        save_matrix_csv, save_vector_csv, support,
                         top_k_indices)
 
 
@@ -65,24 +65,6 @@ class TestHardThreshold:
         best = min(float(np.linalg.norm(v[[i for i in range(v.size) if i not in S]]))
                    for S in combinations(range(v.size), k))
         assert ours <= best + 1e-12 * (1.0 + best)
-
-
-class TestHadamard:
-    def test_mask(self):
-        np.testing.assert_array_equal(
-            hadamard(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0])), [0.0, 2.0, 0.0])
-
-    def test_identity_vector(self, rng):
-        u = rng.normal(0, 1, 7)
-        np.testing.assert_array_equal(hadamard(u, np.ones(7)), u)
-
-    def test_halves(self):
-        np.testing.assert_array_equal(
-            hadamard(np.array([2.0, 2.0]), np.array([0.5, 0.5])), [1.0, 1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(np.ones(3), np.ones(4))
 
 
 class TestResidual:

@@ -266,6 +266,11 @@ class TestBinaryOT:
         y = np.array([1.0, 0.0])
         w, _ = solve_binary_ot(A, y, v, 1)
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
+        # every objective overflows, so all subsets tie at inf: the first wins
+        with np.errstate(over="ignore"):
+            w, obj = solve_binary_ot(np.eye(4), np.ones(4), np.full(4, 1e200), 2)
+        np.testing.assert_array_equal(w, [1.0, 1.0, 0.0, 0.0])
+        assert obj == np.inf
 
 
 class TestLeastSquares:
