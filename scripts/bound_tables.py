@@ -36,7 +36,7 @@ def main():
         for frac in (0.0, 0.25, 0.5, 0.75, 0.9, 0.99):
             delta = frac * ceiling
             ric = RICProfile(k=args.k, delta_k=delta, delta_2k=delta,
-                             delta_3k=delta, delta_kp1=delta, exact=False)
+                             delta_3k=delta, delta_kp1=delta)
             try:
                 beta_max, interval = parameter_window(
                     ric, omega=args.omega, variant=variant, n=args.n)

@@ -18,11 +18,10 @@ from .bounds import (BoundConstants, RICProfile, convergence_envelope,
                      l2_bound_g, parameter_window, ric_exact, ric_profile,
                      s_of_k, xi_q)
 from .core import (IterateTrace, ProblemInstance, hard_threshold,
-                   load_matrix_csv, load_vector_csv, residual, save_matrix_csv,
+                   load_matrix_csv, load_vector_csv, save_matrix_csv,
                    save_vector_csv, support, top_k_indices)
 from .errors import EnumerationGuardError, ParameterWindowError
-from .subproblems import (QPSolverConfig, least_squares_on_support,
-                          project_capped_simplex, solve_binary_ot,
-                          solve_relaxed_ot)
+from .subproblems import (least_squares_on_support, project_capped_simplex,
+                          solve_binary_ot, solve_relaxed_ot)
 
 __version__ = "0.1.0"

@@ -11,15 +11,15 @@ take a unit step (alpha=1, beta=0).  OMP keeps its own k-step greedy loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # top_k_indices is not called here, but instrumentation patches this name too
 from .core import (IterateTrace, ProblemInstance, as_vector, hard_threshold,
-                   support, top_k_indices)  # noqa: F401
-from .subproblems import (QPSolverConfig, least_squares_on_support,
-                          solve_binary_ot, solve_relaxed_ot)
+                   is_count, support, top_k_indices)  # noqa: F401
+from .subproblems import (least_squares_on_support, solve_binary_ot,
+                          solve_relaxed_ot)
 
 # Numerical fixed-point detection: stop after this many consecutive
 # iterations with ||x_next - x|| <= STAGNATION_RTOL * (1 + ||x||).
@@ -45,7 +45,7 @@ def _relaxed(A, y, u, k, cfg):
     """omega relaxed selections, each multiplying into u, then hard thresholding."""
     flags = 0
     for _ in range(cfg.omega):
-        w, converged = solve_relaxed_ot(A, y, u, k, cfg.qp)
+        w, converged = solve_relaxed_ot(A, y, u, k)
         flags += 0 if converged else 1
         u = u * w
     return hard_threshold(u, k), flags
@@ -90,7 +90,6 @@ class AlgorithmConfig:
     residual_tol: float = 1e-10
     x0: np.ndarray | None = None
     x1: np.ndarray | None = None
-    qp: QPSolverConfig = field(default_factory=QPSolverConfig)
 
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
@@ -99,10 +98,10 @@ class AlgorithmConfig:
             raise ValueError("alpha must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.omega < 1:
+        if not is_count(self.omega) or self.omega < 1:
             raise ValueError("omega must be a positive integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if not is_count(self.max_iter) or self.max_iter < 1:
+            raise ValueError("max_iter must be a positive integer")
         if self.residual_tol < 0:
             raise ValueError("residual_tol must be nonnegative")
 

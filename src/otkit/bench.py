@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algorithms import AlgorithmConfig, config_for, run
-from .core import ProblemInstance
+from .core import ProblemInstance, is_count
 from .errors import EnumerationGuardError
 
 GENERATOR_NAME = "pcg64"
@@ -38,8 +38,8 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if not is_count(self.n) or self.n < 1:
+            raise ValueError("n must be a positive integer")
         if not 0 < self.kappa <= 1:
             raise ValueError("kappa must be in (0, 1]")
         if not 0 < self.rho <= 1:
@@ -130,8 +130,8 @@ class TrialRecord:
 default_config = config_for
 
 
-def run_trial(spec, algorithm, config=None):
-    """Generate the instance, run the algorithm, score the recovery.
+def run_trial(spec, algorithm):
+    """Generate the instance, run config_for(algorithm) on it, score the recovery.
 
     Guard refusals (exact selection beyond its enumeration limit) are
     recorded as failed trials with the error's class name and no stop reason
@@ -139,7 +139,7 @@ def run_trial(spec, algorithm, config=None):
     residual tolerance is raised to the noise level, since no iterate can be
     expected to fit y closer than ||noise||.
     """
-    cfg = config_for(algorithm) if config is None else replace(config, variant=algorithm)
+    cfg = config_for(algorithm)
     if spec.noise_eps > 0 and cfg.residual_tol < spec.noise_eps:
         cfg = replace(cfg, residual_tol=spec.noise_eps)
     start = time.perf_counter()
@@ -174,15 +174,9 @@ class GridResult:
     trials_per_cell: int
     records: list
 
-    def rate(self, algorithm, kappa_index, rho_index):
-        cell = [r for r in self.records
-                if r.algorithm == algorithm
-                and r.kappa_index == kappa_index and r.rho_index == rho_index]
-        return sum(r.success for r in cell) / len(cell)
-
     def rates(self, algorithm):
         """Success-rate matrix indexed [kappa_index][rho_index], counted in one
-        pass over the records; each entry equals rate() for its cell."""
+        pass over the records."""
         successes = [[0] * len(self.rho_list) for _ in self.kappa_list]
         trials = [[0] * len(self.rho_list) for _ in self.kappa_list]
         for r in self.records:
@@ -194,18 +188,16 @@ class GridResult:
 
 
 def _grid_task(args):
-    spec, algorithm, config, ki, ri, ti = args
-    record = run_trial(spec, algorithm, config)
+    spec, algorithm, ki, ri, ti = args
+    record = run_trial(spec, algorithm)
     record.kappa_index, record.rho_index, record.trial_index = ki, ri, ti
     return record
 
 
 def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
-                 configs=None, base_seed=0, noise_eps=0.0, workers=1):
-    """Success rates per (algorithm, kappa, rho) cell.
-
-    configs maps algorithm name -> AlgorithmConfig (defaults supplied where
-    missing).  Trials are independent, so workers > 1 distributes them over a
+                 base_seed=0, noise_eps=0.0, workers=1):
+    """Success rates per (algorithm, kappa, rho) cell, every trial run by
+    run_trial.  Trials are independent, so workers > 1 distributes them over a
     process pool; records are keyed and sorted, making the result identical
     whatever the execution order.
     """
@@ -216,17 +208,15 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
         raise ValueError("kappa_list, rho_list, and algorithms must be nonempty")
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be positive")
-    configs = dict(configs or {})
 
     tasks = []
     for algorithm in algorithms:
-        config = configs.get(algorithm) or config_for(algorithm)
         for ki, kappa in enumerate(kappa_list):
             for ri, rho in enumerate(rho_list):
                 for ti in range(trials_per_cell):
                     spec = EnsembleSpec(n=n, kappa=kappa, rho=rho, noise_eps=noise_eps,
                                         seed=trial_seed(base_seed, algorithm, ki, ri, ti))
-                    tasks.append((spec, algorithm, config, ki, ri, ti))
+                    tasks.append((spec, algorithm, ki, ri, ti))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

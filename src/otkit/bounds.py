@@ -26,21 +26,21 @@ def s_of_k(k):
     return k % 2
 
 
-def ric_exact(A, order, max_supports=RIC_ENUM_MAX_SUPPORTS):
+def ric_exact(A, order):
     """Exact order-t restricted isometry constant by exhaustive support enumeration.
 
     delta_t = max over |T| = t of the deviation of the spectrum of A_T^T A_T
-    from 1.  Refuses when C(n, t) exceeds max_supports.
+    from 1.  Refuses when C(n, t) exceeds RIC_ENUM_MAX_SUPPORTS.
     """
     A = as_matrix(A, "A")
     n = A.shape[1]
     if not 1 <= order <= n:
         raise ValueError(f"order={order} out of range 1..{n}")
     count = math.comb(n, order)
-    if count > max_supports:
+    if count > RIC_ENUM_MAX_SUPPORTS:
         raise EnumerationGuardError(
             f"order-{order} constant needs {count} support enumerations "
-            f"(limit {max_supports})"
+            f"(limit {RIC_ENUM_MAX_SUPPORTS})"
         )
     G = A.T @ A
     delta = 0.0
@@ -67,7 +67,7 @@ class RICProfile:
     """The isometry constants a sparsity level k actually consumes.
 
     delta_kp1 is the order-(k+1) constant, used in place of delta_k whenever
-    k is odd.  exact marks brute-force values (vs. assumed/user-supplied).
+    k is odd.
     """
 
     k: int
@@ -75,7 +75,6 @@ class RICProfile:
     delta_2k: float
     delta_3k: float
     delta_kp1: float
-    exact: bool = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -99,9 +98,9 @@ class RICProfile:
         return self.delta_kp1 if self.k % 2 == 1 else self.delta_k
 
 
-def ric_profile(A, k, max_supports=RIC_ENUM_MAX_SUPPORTS):
-    """Brute-force RICProfile for sparsity k (orders clamped to n, where every
-    vector is trivially n-sparse)."""
+def ric_profile(A, k):
+    """Brute-force RICProfile for sparsity k: one ric_exact(A, order) call per
+    distinct order, orders clamped to n (every vector is trivially n-sparse)."""
     A = as_matrix(A, "A")
     n = A.shape[1]
     if not 1 <= k <= n:
@@ -111,7 +110,7 @@ def ric_profile(A, k, max_supports=RIC_ENUM_MAX_SUPPORTS):
     def delta(order):
         order = min(order, n)
         if order not in cache:
-            cache[order] = ric_exact(A, order, max_supports)
+            cache[order] = ric_exact(A, order)
         return cache[order]
 
     return RICProfile(
@@ -120,7 +119,6 @@ def ric_profile(A, k, max_supports=RIC_ENUM_MAX_SUPPORTS):
         delta_2k=delta(2 * k),
         delta_3k=delta(3 * k),
         delta_kp1=delta(k + 1),
-        exact=True,
     )
 
 
@@ -230,7 +228,7 @@ def geometric_envelope(a0, a1, b1, b2, b3, p):
 class BoundConstants:
     """Every constant appearing in the error envelopes, for one configuration.
 
-    The exact-selection variants fill (eta, b, theta, C1, C2); the relaxed
+    The exact-selection variants fill (eta, b, theta, C2); the relaxed
     variants fill (t_k, z_k, sigma, xi_sigma, d0..d2, c1_sigma, c_sigma,
     b1..b3, theta1, theta2).  window_ok records whether the sufficient
     parameter window holds; contraction_ok is the exact theta < 1 predicate.
@@ -245,7 +243,6 @@ class BoundConstants:
     eta: float | None = None
     b: float | None = None
     theta: float | None = None
-    C1: float | None = None
     C2: float | None = None
     t_k: float | None = None
     z_k: float | None = None
@@ -297,13 +294,12 @@ def _hbrot_window(d0, d1, d2, target):
     return (target - d1) / (1.0 + d1 + d2), interval
 
 
-def hbot_constants(ric, alpha, beta, a0=None, a1=None, check=True):
+def hbot_constants(ric, alpha, beta, check=True):
     """Contraction constants for the exact-selection variants (with or without
     the pursuit re-fit; both share one envelope).
 
-    a0, a1 are the starting error norms ||x_S - x^0||, ||x_S - x^1||; when both
-    are given the transient coefficient C1 is filled in.  With check=True a
-    violated hypothesis raises ParameterWindowError naming the inequality.
+    With check=True a violated hypothesis raises ParameterWindowError naming
+    the inequality.
     """
     _validated(alpha, beta)
     dk = ric.delta_k
@@ -338,15 +334,12 @@ def hbot_constants(ric, alpha, beta, a0=None, a1=None, check=True):
     b = eta * (abs(1.0 + beta - alpha) + root5 * alpha * dks)
     theta = 0.5 * (b + math.sqrt(b * b + 4.0 * eta * beta))
     C2 = (2.0 + (1.0 + dk) * alpha) / ((1.0 - theta) * math.sqrt(denom)) if theta < 1 else None
-    C1 = None
-    if a0 is not None and a1 is not None:
-        C1 = a1 + (theta - b) * a0
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
     return BoundConstants(
         variant="hbot", alpha=alpha, beta=beta, ric=ric, s_k=s_of_k(ric.k),
-        eta=eta, b=b, theta=theta, C1=C1, C2=C2,
+        eta=eta, b=b, theta=theta, C2=C2,
         window_ok=not violations, contraction_ok=b + eta * beta < 1.0,
         violations=tuple(violations),
     )

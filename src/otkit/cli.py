@@ -142,7 +142,7 @@ def cmd_bounds(args):
                                  alpha=args.alpha, beta=args.beta, omega=args.omega,
                                  n=args.n, k=args.k, variant=args.variant))
     ric = RICProfile(k=args.k, delta_k=args.delta_k, delta_2k=args.delta_2k,
-                     delta_3k=args.delta_3k, delta_kp1=args.delta_kp1, exact=False)
+                     delta_3k=args.delta_3k, delta_kp1=args.delta_kp1)
     print(f"gamma* = {gamma_star():.6f}, gamma*({args.omega}) = "
           f"{gamma_star_omega(args.omega):.6f}, gamma#({args.omega}) = "
           f"{gamma_sharp_omega(args.omega):.6f}")

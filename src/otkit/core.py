@@ -7,6 +7,7 @@ to share across concurrent benchmark trials.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ def as_matrix(A, name="matrix"):
     return arr
 
 
+def is_count(value):
+    """True for a Python or numpy integer; False for a float or a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def top_k_indices(v, k):
     """Indices of the k largest-magnitude entries of v, ascending.
 
@@ -50,16 +56,6 @@ def hard_threshold(v, k):
     out = np.zeros_like(v)
     out[keep] = v[keep]
     return out
-
-
-def residual(A, x, y):
-    """y - A x, with dimension checks."""
-    A = as_matrix(A, "A")
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if A.shape != (y.size, x.size):
-        raise ValueError(f"incompatible shapes: A is {A.shape}, x has {x.size}, y has {y.size}")
-    return y - A @ x
 
 
 def support(v):
@@ -89,8 +85,8 @@ class ProblemInstance:
         m, n = A.shape
         if y.size != m:
             raise ValueError(f"y has length {y.size}, expected {m}")
-        if not 1 <= self.k <= min(m, n):
-            raise ValueError(f"k={self.k} must satisfy 1 <= k <= min(m, n)={min(m, n)}")
+        if not is_count(self.k) or not 1 <= self.k <= min(m, n):
+            raise ValueError(f"k={self.k} must be an integer in 1..min(m, n)={min(m, n)}")
         if self.truth is not None:
             truth = as_vector(self.truth, "truth")
             if truth.size != n:
@@ -130,9 +126,6 @@ class IterateTrace:
     supports: list
     errors_to_truth: list | None = None
     candidate_residual_norms: list | None = None
-
-    def __len__(self):
-        return len(self.iterates)
 
 
 # --- text round-trip I/O ----------------------------------------------------

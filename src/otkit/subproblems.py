@@ -10,7 +10,6 @@ selectors with exactly k ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -21,24 +20,10 @@ from .errors import EnumerationGuardError
 # Exhaustive k-subset enumeration is only viable as a desk-scale oracle.
 BINARY_ENUM_MAX_N = 30
 
-
-@dataclass(frozen=True)
-class QPSolverConfig:
-    """Stopping controls for the projected-gradient solver of the relaxed problem.
-
-    grad_tol bounds the norm of w - proj(w - grad f(w)/L); objective_rel_tol is
-    the relative objective change treated as stagnation.
-    """
-
-    max_inner_iter: int = 2000
-    grad_tol: float = 1e-9
-    objective_rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_inner_iter < 1:
-            raise ValueError("max_inner_iter must be positive")
-        if self.grad_tol <= 0 or self.objective_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+# Stopping rules of solve_relaxed_ot (see its docstring), read at call time.
+MAX_INNER_ITER = 2000
+GRAD_TOL = 1e-9
+OBJECTIVE_REL_TOL = 1e-12
 
 
 def project_capped_simplex(v, k, shift=None):
@@ -119,7 +104,7 @@ def project_capped_simplex(v, k, shift=None):
     return np.minimum(d, 1.0, out=d)
 
 
-def solve_relaxed_ot(A, y, v, k, cfg=None):
+def solve_relaxed_ot(A, y, v, k):
     """Minimise ||y - A (v*w)||^2 over the capped simplex {sum(w)=k, 0<=w<=1}.
 
     Accelerated projected gradient with a monotone restart: an accelerated
@@ -138,9 +123,11 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
     needs anyway (after a restart m = 0 and G z = G w).  The iterates equal
     those of a loop that forms G z afresh up to round-off in that product.
 
-    Returns (w, converged).  On non-convergence within max_inner_iter the
-    best iterate found so far is returned with converged=False; the caller
-    decides whether that is acceptable.
+    It stops converged once the projected-gradient norm is at most GRAD_TOL,
+    or once the relative objective change has stayed within OBJECTIVE_REL_TOL
+    for 8 steps running.  Returns (w, converged).  On non-convergence within
+    MAX_INNER_ITER steps the best iterate found so far is returned with
+    converged=False; the caller decides whether that is acceptable.
     """
     A = as_matrix(A, "A")
     y = as_vector(y, "y")
@@ -150,8 +137,6 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
         raise ValueError(f"incompatible shapes: A is {A.shape}, y has {y.size}, v has {v.size}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    if cfg is None:
-        cfg = QPSolverConfig()
 
     B = A * v  # columns scaled by v
     G = B.T @ B
@@ -173,7 +158,7 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
     t_mom = 1.0
     stall = 0
     lam = None  # shift of the last projection, the next one's starting guess
-    for it in range(cfg.max_inner_iter):
+    for it in range(MAX_INNER_ITER):
         z = zk - (Gz - c) / L
         w_new = project_capped_simplex(z, k, shift=lam)
         inside = (w_new > 0.0) & (w_new < 1.0)
@@ -186,7 +171,7 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
             w_new, Gw_new, f_new = w, Gw, fw
             t_mom = 1.0
         rel_drop = abs(fw - f_new) / max(1.0, abs(fw))
-        stall = stall + 1 if rel_drop <= cfg.objective_rel_tol else 0
+        stall = stall + 1 if rel_drop <= OBJECTIVE_REL_TOL else 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         mom = (t_mom - 1.0) / t_next
         zk = w_new + mom * (w_new - w)
@@ -194,9 +179,9 @@ def solve_relaxed_ot(A, y, v, k, cfg=None):
         w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
         if stall >= 4 or (it & 15) == 15:
             pg = np.linalg.norm(w - project_capped_simplex(w - (Gw - c) / L, k, shift=lam))
-            if pg <= cfg.grad_tol:
+            if pg <= GRAD_TOL:
                 return w, True
-        if stall >= 8:  # objective_rel_tol met repeatedly
+        if stall >= 8:  # OBJECTIVE_REL_TOL met repeatedly
             return w, True
     return w, False
 
@@ -228,12 +213,13 @@ def solve_binary_ot(A, y, v, k):
     B = A * v
     best_obj = math.inf
     best_support = tuple(range(k))
-    for S in combinations(range(n), k):
-        r = y - B[:, S].sum(axis=1)
-        obj = float(r @ r)
-        if obj < best_obj:  # strict '<' keeps the lexicographically first tie
-            best_obj = obj
-            best_support = S
+    with np.errstate(over="ignore"):  # an overflowing objective is inf by design
+        for S in combinations(range(n), k):
+            r = y - B[:, S].sum(axis=1)
+            obj = float(r @ r)
+            if obj < best_obj:  # strict '<' keeps the lexicographically first tie
+                best_obj = obj
+                best_support = S
     w = np.zeros(n)
     w[list(best_support)] = 1.0
     return w, best_obj

@@ -71,7 +71,7 @@ def test_criterion_3_reduction_equivalence():
             if np.linalg.norm(y - A @ x) <= 1e-10 or stagnant >= 3:
                 break
             u = x + A.T @ (y - A @ x)
-            w, _ = solve_relaxed_ot(A, y, u, k, cfg.qp)
+            w, _ = solve_relaxed_ot(A, y, u, k)
             xs = hard_threshold(u * w, k)
             S = np.flatnonzero(xs)
             coef, *_ = np.linalg.lstsq(A[:, S], y, rcond=None)

@@ -104,7 +104,7 @@ class TestRelaxedVariants:
                 if np.linalg.norm(y - A @ x) <= 1e-10:
                     break
                 u = x + A.T @ (y - A @ x)
-                w, _ = solve_relaxed_ot(A, y, u, 5, cfg.qp)
+                w, _ = solve_relaxed_ot(A, y, u, 5)
                 xs = hard_threshold(u * w, 5)
                 S = np.flatnonzero(xs)
                 coef, *_ = np.linalg.lstsq(A[:, S], y, rcond=None)
@@ -134,7 +134,7 @@ class TestRelaxedVariants:
                     break
                 v = x + A.T @ (y - A @ x)
                 for _ in range(2):
-                    w, _ = solve_relaxed_ot(A, y, v, 4, cfg.qp)
+                    w, _ = solve_relaxed_ot(A, y, v, 4)
                     v = v * w
                 xs = hard_threshold(v, 4)
                 S = np.flatnonzero(xs)
@@ -353,6 +353,13 @@ class TestConfig:
             AlgorithmConfig(beta=-0.1)
         with pytest.raises(ValueError):
             AlgorithmConfig(omega=0)
+        with pytest.raises(ValueError, match="omega must be a positive integer"):
+            AlgorithmConfig(omega=1.5)
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            AlgorithmConfig(max_iter=2.5)
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            AlgorithmConfig(max_iter=True)
+        AlgorithmConfig(omega=np.int64(2), max_iter=np.int32(7))
 
     def test_dispatch(self, rng):
         problem = identity_problem()

@@ -33,6 +33,9 @@ class TestEnsembleSpec:
             EnsembleSpec(n=10, kappa=0.5, rho=1.5)
         with pytest.raises(ValueError):
             EnsembleSpec(n=10, kappa=0.5, rho=0.1, noise_eps=-1)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            EnsembleSpec(n=10.0, kappa=0.5, rho=0.1)
+        assert EnsembleSpec(n=np.int64(10), kappa=0.5, rho=0.1).m == 5
 
 
 class TestGenerateInstance:
@@ -100,7 +103,7 @@ class TestTrialSeed:
 class TestRunTrial:
     def test_square_system_succeeds(self):
         spec = EnsembleSpec(n=32, kappa=1.0, rho=0.1, seed=4)
-        record = run_trial(spec, "iht", config_for("iht"))
+        record = run_trial(spec, "iht")
         assert record.success
         assert record.rel_error <= 1e-3
         assert record.wall_time > 0
@@ -109,15 +112,17 @@ class TestRunTrial:
 
     def test_guard_becomes_failed_trial(self):
         spec = EnsembleSpec(n=64, kappa=0.5, rho=0.1, seed=4)
-        record = run_trial(spec, "hbot", config_for("hbot"))
+        record = run_trial(spec, "hbot")
         assert not record.success
         assert record.error == "EnumerationGuardError"
         assert record.stop_reason is None
         assert math.isinf(record.rel_error)
 
-    def test_divergence_is_recorded(self):
+    def test_divergence_is_recorded(self, monkeypatch):
+        monkeypatch.setattr(otkit.bench, "config_for",
+                            lambda variant: config_for(variant, alpha=1e9, beta=0.9))
         spec = EnsembleSpec(n=32, kappa=0.5, rho=0.1, seed=1)
-        record = run_trial(spec, "hbrot", config_for("hbrot", alpha=1e9, beta=0.9))
+        record = run_trial(spec, "hbrot")
         assert not record.success
         assert record.error is None
         assert record.stop_reason == "diverged"
@@ -142,10 +147,7 @@ class TestSuccessGrid:
     def test_rates_bounded_and_full_row(self):
         grid = success_grid(n=24, kappa_list=[1.0], rho_list=[0.1, 0.2],
                             trials_per_cell=3, algorithms=["htp"], base_seed=2)
-        for ri in range(2):
-            rate = grid.rate("htp", 0, ri)
-            assert 0.0 <= rate <= 1.0
-            assert rate == 1.0  # square well-posed systems always recover
+        assert grid.rates("htp") == [[1.0, 1.0]]  # square well-posed systems always recover
 
     def test_monotone_in_rho_with_slack(self):
         grid = success_grid(n=64, kappa_list=[0.5], rho_list=[0.1, 0.25, 0.45, 0.7],
@@ -157,9 +159,15 @@ class TestSuccessGrid:
     def test_rates_equal_per_cell_rate(self):
         grid = success_grid(n=32, kappa_list=[0.5, 0.75], rho_list=[0.1, 0.3, 0.5],
                             trials_per_cell=3, algorithms=["iht", "omp"], base_seed=9)
+
+        def rate(algorithm, ki, ri):
+            cell = [r.success for r in grid.records
+                    if (r.algorithm, r.kappa_index, r.rho_index) == (algorithm, ki, ri)]
+            return sum(cell) / len(cell)
+
         for algorithm in grid.algorithms:
             assert grid.rates(algorithm) == [
-                [grid.rate(algorithm, ki, ri) for ri in range(3)] for ki in range(2)]
+                [rate(algorithm, ki, ri) for ri in range(3)] for ki in range(2)]
         assert grid.rates("iht") != grid.rates("omp")
 
     def test_workers_do_not_change_results(self):

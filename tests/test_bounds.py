@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import otkit.bounds
 from otkit.bench import equiangular_frame
 from otkit.bounds import (RICProfile, convergence_envelope, gamma_sharp_omega,
                           gamma_star, gamma_star_omega, geometric_envelope,
@@ -175,16 +176,27 @@ class TestRicProfile:
     def test_profile_from_matrix(self, rng):
         A = equiangular_frame(10)
         prof = ric_profile(A, 1)
-        assert prof.exact
         assert abs(prof.delta_k) < 1e-12
         assert abs(prof.delta_2k - 1 / 9) < 1e-10
         assert abs(prof.delta_3k - 2 / 9) < 1e-10
         assert abs(prof.delta_kp1 - 1 / 9) < 1e-10
 
+    def test_one_module_lookup_per_order(self, monkeypatch):
+        # instrumentation wraps bounds.ric_exact and reads (A, order) from the
+        # positional arguments: every distinct order must reach it that way
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return ric_exact(*args, **kwargs)
+
+        monkeypatch.setattr(otkit.bounds, "ric_exact", counting)
+        ric_profile(equiangular_frame(10), 2)
+        assert calls == [((order,), {}) for order in (2, 4, 6, 3)]
+
 
 def zero_ric(k):
-    return RICProfile(k=k, delta_k=0.0, delta_2k=0.0, delta_3k=0.0, delta_kp1=0.0,
-                      exact=False)
+    return RICProfile(k=k, delta_k=0.0, delta_2k=0.0, delta_3k=0.0, delta_kp1=0.0)
 
 
 class TestHbotConstants:
@@ -203,20 +215,16 @@ class TestHbotConstants:
 
     def test_ric_above_root_rejected(self):
         ric = RICProfile(k=1, delta_k=0.23, delta_2k=0.23, delta_3k=0.23,
-                         delta_kp1=0.23, exact=False)
+                         delta_kp1=0.23)
         with pytest.raises(ParameterWindowError, match="gamma"):
             hbot_constants(ric, alpha=1.0, beta=0.0)
-
-    def test_c1_needs_start_errors(self):
-        bc = hbot_constants(zero_ric(2), alpha=1.0, beta=0.0, a0=2.0, a1=1.0)
-        assert bc.C1 == pytest.approx(1.0 + (bc.theta - bc.b) * 2.0)
 
     def test_theta_below_one_iff_contraction(self, rng):
         # the exact predicate is b + eta*beta < 1, in both directions
         for _ in range(200):
             delta = float(rng.uniform(0, 0.22))
             ric = RICProfile(k=2, delta_k=delta, delta_2k=delta, delta_3k=delta,
-                             delta_kp1=delta, exact=False)
+                             delta_kp1=delta)
             alpha = float(rng.uniform(0.05, 2.5))
             beta = float(rng.uniform(0, 0.8))
             bc = hbot_constants(ric, alpha, beta, check=False)
@@ -246,7 +254,7 @@ class TestHbrotConstants:
 
     def test_ric_above_root_rejected(self):
         ric = RICProfile(k=1, delta_k=0.25, delta_2k=0.25, delta_3k=0.25,
-                         delta_kp1=0.25, exact=False)
+                         delta_kp1=0.25)
         with pytest.raises(ParameterWindowError, match="gamma"):
             hbrot_constants(ric, alpha=1.0, beta=0.0, omega=1, n=20, variant="hbrotp")
 
@@ -260,7 +268,7 @@ class TestHbrotConstants:
             delta = float(rng.uniform(0, 0.20))
             scale = float(rng.uniform(0.3, 1.0))
             ric = RICProfile(k=1, delta_k=delta * scale, delta_2k=delta,
-                             delta_3k=delta, delta_kp1=delta, exact=False)
+                             delta_3k=delta, delta_kp1=delta)
             alpha = float(rng.uniform(0.05, 2.0))
             beta = float(rng.uniform(0, 0.5))
             omega = int(rng.integers(1, 4))
@@ -280,7 +288,7 @@ class TestHbrotConstants:
                                   n=10, variant="hbrot", check=False)
             eps = 1e-9
             ric = RICProfile(k=1, delta_k=eps, delta_2k=eps, delta_3k=eps,
-                             delta_kp1=eps, exact=False)
+                             delta_kp1=eps)
             bce = hbrot_constants(ric, alpha=1.3, beta=0.05, omega=omega,
                                   n=10, variant="hbrot", check=False)
             assert bc0.d2 == pytest.approx(bce.d2, rel=1e-6)
@@ -299,7 +307,7 @@ class TestParameterWindow:
         for _ in range(100):
             delta = float(rng.uniform(0, 0.9)) * (gamma_star() - 1e-9)
             ric = RICProfile(k=2, delta_k=delta, delta_2k=delta, delta_3k=delta,
-                             delta_kp1=delta, exact=False)
+                             delta_kp1=delta)
             beta_max, interval = parameter_window(ric, variant="hbotp")
             beta = float(rng.uniform(0, beta_max * 0.999))
             lo, hi = interval(beta)
@@ -312,7 +320,7 @@ class TestParameterWindow:
             for _ in range(50):
                 delta = float(rng.uniform(0, 0.95)) * bound
                 ric = RICProfile(k=1, delta_k=delta, delta_2k=delta, delta_3k=delta,
-                                 delta_kp1=delta, exact=False)
+                                 delta_kp1=delta)
                 beta_max, interval = parameter_window(ric, omega=1, variant=variant, n=12)
                 assert beta_max > 0
                 beta = float(rng.uniform(0, beta_max * 0.999))
@@ -331,7 +339,7 @@ class TestParameterWindow:
                      "hbrotp": gamma_sharp_omega(omega)}[variant]
             dk, dkp1, d2k, d3k = np.sort(rng.uniform(0, 0.95 * bound, 4))
             ric = RICProfile(k=k, delta_k=dk, delta_2k=d2k, delta_3k=d3k,
-                             delta_kp1=dkp1, exact=False)
+                             delta_kp1=dkp1)
             beta_max, interval = parameter_window(ric, omega=omega, variant=variant, n=n)
             assert beta_max > 0
             beta = float(rng.uniform(0, 0.999)) * beta_max
@@ -354,7 +362,7 @@ class TestParameterWindow:
         betas = []
         for delta in (0.5 * g, 0.9 * g, 0.99 * g, 0.9999 * g):
             ric = RICProfile(k=2, delta_k=delta, delta_2k=delta, delta_3k=delta,
-                             delta_kp1=delta, exact=False)
+                             delta_kp1=delta)
             beta_max, _ = parameter_window(ric, variant="hbot")
             betas.append(beta_max)
         assert all(a > b for a, b in zip(betas, betas[1:]))
@@ -362,7 +370,7 @@ class TestParameterWindow:
 
     def test_ric_hypothesis_enforced(self):
         ric = RICProfile(k=2, delta_k=0.3, delta_2k=0.3, delta_3k=0.3,
-                         delta_kp1=0.3, exact=False)
+                         delta_kp1=0.3)
         with pytest.raises(ParameterWindowError):
             parameter_window(ric, variant="hbot")
 

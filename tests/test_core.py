@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit.core import (IterateTrace, ProblemInstance, hard_threshold,
-                        load_matrix_csv, load_vector_csv, residual,
-                        save_matrix_csv, save_vector_csv, support,
-                        top_k_indices)
+from otkit.core import (ProblemInstance, hard_threshold, load_matrix_csv,
+                        load_vector_csv, save_matrix_csv, save_vector_csv,
+                        support, top_k_indices)
 
 
 class TestTopK:
@@ -67,29 +66,6 @@ class TestHardThreshold:
         assert ours <= best + 1e-12 * (1.0 + best)
 
 
-class TestResidual:
-    def test_identity_zero(self):
-        y = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(residual(np.eye(3), y, y), np.zeros(3))
-
-    def test_zero_x_gives_y_exactly(self, rng):
-        A = rng.normal(0, 1, (4, 6))
-        y = rng.normal(0, 1, 4)
-        np.testing.assert_array_equal(residual(A, np.zeros(6), y), y)
-
-    def test_matches_triple_loop_oracle(self, rng):
-        A = rng.normal(0, 1, (3, 5))
-        x = rng.normal(0, 1, 5)
-        y = rng.normal(0, 1, 3)
-        expected = np.array([y[i] - sum(A[i, j] * x[j] for j in range(5))
-                             for i in range(3)])
-        np.testing.assert_allclose(residual(A, x, y), expected, rtol=0, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            residual(np.eye(3), np.ones(4), np.ones(3))
-
-
 class TestProblemInstance:
     def test_valid(self, rng):
         A = rng.normal(0, 1, (4, 8))
@@ -101,6 +77,13 @@ class TestProblemInstance:
         A = rng.normal(0, 1, (3, 8))
         with pytest.raises(ValueError):
             ProblemInstance(A=A, y=np.ones(3), k=4)
+
+    def test_non_integral_k_rejected(self, rng):
+        A = rng.normal(0, 1, (4, 8))
+        for k in (2.0, 2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ProblemInstance(A=A, y=np.ones(4), k=k)
+        ProblemInstance(A=A, y=np.ones(4), k=np.int64(2))
 
     def test_k_above_n_rejected(self, rng):
         # a tall A: k <= m holds, but no k-sparse support exists among 4 columns
@@ -153,7 +136,3 @@ class TestCsvRoundTrip:
 def test_support_sorted():
     assert list(support(np.array([0.0, 3.0, 0.0, -1.0]))) == [1, 3]
 
-
-def test_trace_len():
-    tr = IterateTrace(iterates=[np.zeros(2)], residual_norms=[1.0], supports=[np.array([])])
-    assert len(tr) == 1

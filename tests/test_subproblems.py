@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otkit.subproblems
 from otkit.core import top_k_indices
 from otkit.errors import EnumerationGuardError
 from otkit.selftest import bisection_projection
-from otkit.subproblems import (QPSolverConfig, least_squares_on_support,
+from otkit.subproblems import (GRAD_TOL, MAX_INNER_ITER, OBJECTIVE_REL_TOL,
+                               least_squares_on_support,
                                project_capped_simplex, solve_binary_ot,
                                solve_relaxed_ot)
 
@@ -96,7 +98,7 @@ class TestProjection:
         assert (np.linalg.norm(w - v) <= np.linalg.norm(other - v) + 1e-10)
 
 
-def two_product_relaxed_ot(A, y, v, k, cfg):
+def two_product_relaxed_ot(A, y, v, k):
     """solve_relaxed_ot as a loop that forms the Gram product at the search
     point afresh each step: two products G @ z and G @ w per step, the shift
     read off with flatnonzero.  The projection is shared: its closing
@@ -114,7 +116,7 @@ def two_product_relaxed_ot(A, y, v, k, cfg):
     t_mom = 1.0
     stall = 0
     lam = None
-    for it in range(cfg.max_inner_iter):
+    for it in range(MAX_INNER_ITER):
         z = zk - (G @ zk - c) / L
         w_new = project_capped_simplex(z, k, shift=lam)
         free = np.flatnonzero((w_new > 0.0) & (w_new < 1.0))
@@ -127,13 +129,13 @@ def two_product_relaxed_ot(A, y, v, k, cfg):
             zk = w.copy()
             t_mom = 1.0
         rel_drop = abs(fw - f_new) / max(1.0, abs(fw))
-        stall = stall + 1 if rel_drop <= cfg.objective_rel_tol else 0
+        stall = stall + 1 if rel_drop <= OBJECTIVE_REL_TOL else 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         zk = w_new + ((t_mom - 1.0) / t_next) * (w_new - w)
         w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
         if stall >= 4 or (it & 15) == 15:
             pg = np.linalg.norm(w - project_capped_simplex(w - (Gw - c) / L, k, shift=lam))
-            if pg <= cfg.grad_tol:
+            if pg <= GRAD_TOL:
                 return w, True
         if stall >= 8:
             return w, True
@@ -144,13 +146,12 @@ class TestRelaxedOT:
     def test_one_product_step_matches_two_product_loop(self):
         # carrying G z through the momentum recurrence changes round-off only
         m, n, k = 32, 64, 5
-        cfg = QPSolverConfig()
         flags = []
         for seed in range(20):
             A, y, truth, _ = gaussian_instance(np.random.default_rng(300 + seed), m, n, k)
             v = 5.0 * (A.T @ y)  # the default heavy-ball step from zero
-            w, converged = solve_relaxed_ot(A, y, v, k, cfg)
-            w_ref, converged_ref = two_product_relaxed_ot(A, y, v, k, cfg)
+            w, converged = solve_relaxed_ot(A, y, v, k)
+            w_ref, converged_ref = two_product_relaxed_ot(A, y, v, k)
             assert converged == converged_ref
             np.testing.assert_array_equal(top_k_indices(v * w, k), top_k_indices(v * w_ref, k))
             assert np.abs(w - w_ref).max() <= 1e-6
@@ -189,19 +190,19 @@ class TestRelaxedOT:
         assert w.min() >= 0 and w.max() <= 1
         assert np.allclose(np.sum((y - A @ (np.zeros(8) * w)) ** 2), y @ y)
 
-    def test_monotone_in_iteration_budget(self, rng):
+    def test_monotone_in_iteration_budget(self, rng, monkeypatch):
         # accepted objectives never increase, so a larger budget never hurts
         A = rng.standard_normal((6, 10))
         y = rng.standard_normal(6)
         v = rng.standard_normal(10)
         objs = []
         for budget in range(1, 40):
-            cfg = QPSolverConfig(max_inner_iter=budget)
-            w, _ = solve_relaxed_ot(A, y, v, 3, cfg)
+            monkeypatch.setattr(otkit.subproblems, "MAX_INNER_ITER", budget)
+            w, _ = solve_relaxed_ot(A, y, v, 3)
             objs.append(float(np.sum((y - A @ (v * w)) ** 2)))
         assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
 
-    def test_step_uses_top_eigenvalue_orthogonal_to_ones(self):
+    def test_step_uses_top_eigenvalue_orthogonal_to_ones(self, monkeypatch):
         # G = I + 9 u u^T with u orthogonal to the all-ones vector: power
         # iteration from the uniform start never sees u and reads 1, not 10.
         n, k = 6, 2
@@ -209,19 +210,22 @@ class TestRelaxedOT:
         G = np.eye(n) + 9.0 * np.outer(u, u)
         A = np.linalg.cholesky(G).T  # A^T A = G, so B = A diag(1) has Gram G
         y = A @ np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        w, _ = solve_relaxed_ot(A, y, np.ones(n), k, QPSolverConfig(max_inner_iter=1))
+        monkeypatch.setattr(otkit.subproblems, "MAX_INNER_ITER", 1)
+        w, _ = solve_relaxed_ot(A, y, np.ones(n), k)
         # the first step from the uniform start is accepted: it is a descent step of 1/L
         w0 = np.full(n, k / n)
         L = 10.0 * 1.02
         expected = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / L, k)
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
-    def test_nonconvergence_flag(self, rng):
+    def test_nonconvergence_flag(self, rng, monkeypatch):
+        # one step meets neither stop rule: the projected gradient is checked
+        # every 16th step or after 4 stalled ones, and stagnation needs 8
         A = rng.standard_normal((8, 16))
         y = rng.standard_normal(8)
         v = rng.standard_normal(16)
-        cfg = QPSolverConfig(max_inner_iter=1, grad_tol=1e-300, objective_rel_tol=1e-300)
-        w, converged = solve_relaxed_ot(A, y, v, 5, cfg)
+        monkeypatch.setattr(otkit.subproblems, "MAX_INNER_ITER", 1)
+        w, converged = solve_relaxed_ot(A, y, v, 5)
         assert not converged
         assert abs(w.sum() - 5) <= 1e-12  # still feasible
 
@@ -267,8 +271,7 @@ class TestBinaryOT:
         w, _ = solve_binary_ot(A, y, v, 1)
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
         # every objective overflows, so all subsets tie at inf: the first wins
-        with np.errstate(over="ignore"):
-            w, obj = solve_binary_ot(np.eye(4), np.ones(4), np.full(4, 1e200), 2)
+        w, obj = solve_binary_ot(np.eye(4), np.ones(4), np.full(4, 1e200), 2)
         np.testing.assert_array_equal(w, [1.0, 1.0, 0.0, 0.0])
         assert obj == np.inf
 
