@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import AlgorithmConfig, config_for, run
+from .algorithms import ALL_VARIANTS, AlgorithmConfig, config_for, run
 from .core import ProblemInstance, is_count
 from .errors import EnumerationGuardError
 
@@ -167,11 +167,9 @@ class GridResult:
 
     n: int
     base_seed: int
-    noise_eps: float
     kappa_list: list
     rho_list: list
     algorithms: list
-    trials_per_cell: int
     records: list
 
     def rates(self, algorithm):
@@ -200,14 +198,23 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
     run_trial.  Trials are independent, so workers > 1 distributes them over a
     process pool; records are keyed and sorted, making the result identical
     whatever the execution order.
+
+    The whole request is checked before any trial runs: a ValueError names an
+    empty axis, the first algorithm not in ALL_VARIANTS, or a trial or worker
+    count that is not a positive integer.
     """
     kappa_list = list(kappa_list)
     rho_list = list(rho_list)
     algorithms = list(algorithms)
     if not kappa_list or not rho_list or not algorithms:
         raise ValueError("kappa_list, rho_list, and algorithms must be nonempty")
-    if trials_per_cell < 1:
-        raise ValueError("trials_per_cell must be positive")
+    for algorithm in algorithms:
+        if algorithm not in ALL_VARIANTS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+    if not is_count(trials_per_cell) or trials_per_cell < 1:
+        raise ValueError("trials_per_cell must be a positive integer")
+    if not is_count(workers) or workers < 1:
+        raise ValueError("workers must be a positive integer")
 
     tasks = []
     for algorithm in algorithms:
@@ -224,10 +231,8 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
     else:
         records = [_grid_task(t) for t in tasks]
     records.sort(key=lambda r: (r.algorithm, r.kappa_index, r.rho_index, r.trial_index))
-    return GridResult(n=n, base_seed=base_seed, noise_eps=noise_eps,
-                      kappa_list=kappa_list, rho_list=rho_list,
-                      algorithms=algorithms, trials_per_cell=trials_per_cell,
-                      records=records)
+    return GridResult(n=n, base_seed=base_seed, kappa_list=kappa_list,
+                      rho_list=rho_list, algorithms=algorithms, records=records)
 
 
 def transition_point(points):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import as_matrix
+from .core import as_matrix, is_count
 from .errors import EnumerationGuardError, ParameterWindowError
 
 RIC_ENUM_MAX_SUPPORTS = 10**6
@@ -34,8 +34,8 @@ def ric_exact(A, order):
     """
     A = as_matrix(A, "A")
     n = A.shape[1]
-    if not 1 <= order <= n:
-        raise ValueError(f"order={order} out of range 1..{n}")
+    if not is_count(order) or not 1 <= order <= n:
+        raise ValueError(f"order={order} must be an integer in 1..{n}")
     count = math.comb(n, order)
     if count > RIC_ENUM_MAX_SUPPORTS:
         raise EnumerationGuardError(
@@ -103,8 +103,8 @@ def ric_profile(A, k):
     distinct order, orders clamped to n (every vector is trivially n-sparse)."""
     A = as_matrix(A, "A")
     n = A.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
+    if not is_count(k) or not 1 <= k <= n:
+        raise ValueError(f"k={k} must be an integer in 1..{n}")
     cache = {}
 
     def delta(order):

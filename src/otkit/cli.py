@@ -18,7 +18,7 @@ import numpy as np
 
 from .algorithms import ALL_VARIANTS, AlgorithmConfig, run
 from .bench import (EnsembleSpec, generate_instance, success_grid,
-                    write_transition_csv, write_trials_csv)
+                    transition_curve, write_transition_csv, write_trials_csv)
 from .bounds import (RICProfile, gamma_sharp_omega, gamma_star,
                      gamma_star_omega, hbot_constants, hbrot_constants,
                      ric_exact)
@@ -102,11 +102,6 @@ def _run_grid(args, name):
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
     rhos = _frange(args.rho_min, args.rho_max, args.rho_step)
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for algorithm in algorithms:
-        if algorithm not in ALL_VARIANTS:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-    if not kappas or not rhos or not algorithms:
-        raise ValueError("empty grid")
     _print_config(name, dict(n=args.n, kappas=kappas, rhos=rhos, trials=args.trials,
                              algos=algorithms, eps=args.eps, seed=seed,
                              threads=args.threads, timing=args.timing, out=args.out))
@@ -133,6 +128,10 @@ def cmd_ptc(args):
     with open(args.transitions_out, "w") as fh:
         write_transition_csv(fh, grid)
     print(f"wrote {args.transitions_out}")
+    for algorithm in grid.algorithms:
+        for kappa, rho50, extrapolated in transition_curve(grid, algorithm):
+            print(f"{algorithm} kappa={kappa}: rho50={rho50:.3f}{'*' if extrapolated else ''}")
+    print("(* = no 50% crossing inside the grid; boundary reported)")
     return EXIT_OK
 
 

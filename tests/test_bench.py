@@ -185,6 +185,25 @@ class TestSuccessGrid:
             success_grid(n=24, kappa_list=[], rho_list=[0.1], trials_per_cell=1,
                          algorithms=["iht"])
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(algorithms=["iht", "bogus"]), "unknown algorithm 'bogus'"),
+        (dict(trials_per_cell=1.5), "trials_per_cell must be a positive integer"),
+        (dict(workers=0), "workers must be a positive integer"),
+    ], ids=["unknown-algorithm", "fractional-trials", "zero-workers"])
+    def test_bad_request_rejected_before_any_trial(self, monkeypatch, bad, message):
+        trials = []
+
+        def counting(spec, algorithm):
+            trials.append(algorithm)
+            return run_trial(spec, algorithm)
+
+        monkeypatch.setattr(otkit.bench, "run_trial", counting)
+        request = dict(n=16, kappa_list=[1.0], rho_list=[0.1], trials_per_cell=1,
+                       algorithms=["iht"], workers=1)
+        with pytest.raises(ValueError, match=message):
+            success_grid(**{**request, **bad})
+        assert trials == []
+
 
 class TestTransitionPoint:
     def test_clean_step_midpoint(self):

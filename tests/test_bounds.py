@@ -194,6 +194,14 @@ class TestRicProfile:
         ric_profile(equiangular_frame(10), 2)
         assert calls == [((order,), {}) for order in (2, 4, 6, 3)]
 
+    def test_non_integral_counts_rejected(self):
+        A = equiangular_frame(6)
+        with pytest.raises(ValueError, match="k=2.0 must be an integer"):
+            ric_profile(A, 2.0)
+        with pytest.raises(ValueError, match="order=2.0 must be an integer"):
+            ric_exact(A, 2.0)
+        assert ric_exact(A, np.int64(2)) == pytest.approx(1 / 5)
+
 
 def zero_ric(k):
     return RICProfile(k=k, delta_k=0.0, delta_2k=0.0, delta_3k=0.0, delta_kp1=0.0)

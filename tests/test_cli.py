@@ -149,17 +149,26 @@ class TestGrid:
                        "--out", str(tmp_path / "g.csv"))
         assert code == EXIT_USAGE
 
-    def test_ptc_writes_transitions(self, tmp_path):
+    def test_ptc_writes_transitions(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         trans = tmp_path / "ptc.csv"
         code = run_cli("ptc", "--n", "24", "--kappa-min", "1.0", "--kappa-max", "1.0",
                        "--rho-min", "0.1", "--rho-max", "0.2", "--rho-step", "0.1",
-                       "--trials", "2", "--algos", "htp", "--seed", "3",
+                       "--trials", "2", "--algos", "htp,iht", "--seed", "3",
                        "--threads", "1", "--out", str(out),
                        "--transitions-out", str(trans))
         assert code == EXIT_OK
         lines = trans.read_text().splitlines()
         assert lines[1].startswith("htp,1.0,")
+        # one printed rho50 line per (algorithm, kappa), in the CSV's order
+        printed = [line.rstrip("*") for line in capsys.readouterr().out.splitlines()
+                   if ": rho50=" in line]
+        expected = []
+        for row in lines[1:]:
+            algorithm, kappa, rho50 = row.split(",")
+            expected.append(f"{algorithm} kappa={kappa}: rho50={float(rho50):.3f}")
+        assert printed == expected
+        assert len(printed) == 2
 
 
 class TestBounds:

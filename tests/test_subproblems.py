@@ -9,7 +9,7 @@ import otkit.subproblems
 from otkit.core import top_k_indices
 from otkit.errors import EnumerationGuardError
 from otkit.selftest import bisection_projection
-from otkit.subproblems import (GRAD_TOL, MAX_INNER_ITER, OBJECTIVE_REL_TOL,
+from otkit.subproblems import (MAX_INNER_ITER, OBJECTIVE_REL_TOL,
                                least_squares_on_support,
                                project_capped_simplex, solve_binary_ot,
                                solve_relaxed_ot)
@@ -116,7 +116,7 @@ def two_product_relaxed_ot(A, y, v, k):
     t_mom = 1.0
     stall = 0
     lam = None
-    for it in range(MAX_INNER_ITER):
+    for _ in range(MAX_INNER_ITER):
         z = zk - (G @ zk - c) / L
         w_new = project_capped_simplex(z, k, shift=lam)
         free = np.flatnonzero((w_new > 0.0) & (w_new < 1.0))
@@ -133,10 +133,6 @@ def two_product_relaxed_ot(A, y, v, k):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         zk = w_new + ((t_mom - 1.0) / t_next) * (w_new - w)
         w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
-        if stall >= 4 or (it & 15) == 15:
-            pg = np.linalg.norm(w - project_capped_simplex(w - (Gw - c) / L, k, shift=lam))
-            if pg <= GRAD_TOL:
-                return w, True
         if stall >= 8:
             return w, True
     return w, False
@@ -219,8 +215,7 @@ class TestRelaxedOT:
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_nonconvergence_flag(self, rng, monkeypatch):
-        # one step meets neither stop rule: the projected gradient is checked
-        # every 16th step or after 4 stalled ones, and stagnation needs 8
+        # one step cannot meet the stop rule: it needs 8 stalled steps running
         A = rng.standard_normal((8, 16))
         y = rng.standard_normal(8)
         v = rng.standard_normal(16)
