@@ -134,10 +134,10 @@ def run_trial(spec, algorithm):
     """Generate the instance, run config_for(algorithm) on it, score the recovery.
 
     Guard refusals (exact selection beyond its enumeration limit) are
-    recorded as failed trials with the error's class name and no stop reason
-    rather than raised; every other exception propagates.  Under noise the
-    residual tolerance is raised to the noise level, since no iterate can be
-    expected to fit y closer than ||noise||.
+    recorded as failed trials with the error's class name and message and no
+    stop reason rather than raised; every other exception propagates.  Under
+    noise the residual tolerance is raised to the noise level, since no
+    iterate can be expected to fit y closer than ||noise||.
     """
     cfg = config_for(algorithm)
     if spec.noise_eps > 0 and cfg.residual_tol < spec.noise_eps:
@@ -157,7 +157,7 @@ def run_trial(spec, algorithm):
         record = TrialRecord(spec=spec, algorithm=algorithm, config=cfg,
                              success=False, iterations=0,
                              wall_time=time.perf_counter() - start,
-                             rel_error=math.inf, error=type(exc).__name__)
+                             rel_error=math.inf, error=f"{type(exc).__name__}: {exc}")
     return record
 
 
@@ -239,8 +239,9 @@ def transition_point(points):
     """rho at which a success curve first crosses 50% from above.
 
     points is a sequence of (rho, rate) sorted by rho; piecewise-linear
-    interpolation locates the crossing.  Without a crossing the nearest
-    boundary is returned with extrapolated=True.
+    interpolation locates the crossing.  Without a crossing, a curve whose
+    last rate is exactly 50% returns its last rho with extrapolated=False;
+    otherwise the nearest boundary is returned with extrapolated=True.
 
     Returns (rho_50, extrapolated).
     """
@@ -252,6 +253,8 @@ def transition_point(points):
     for (r0, s0), (r1, s1) in zip(pts, pts[1:]):
         if s0 >= 0.5 > s1:
             return r0 + (r1 - r0) * (s0 - 0.5) / (s0 - s1), False
+    if pts[-1][1] == 0.5:
+        return pts[-1][0], False
     if all(s < 0.5 for _, s in pts):
         return pts[0][0], True
     return pts[-1][0], True

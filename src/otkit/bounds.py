@@ -8,15 +8,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .core import as_matrix, is_count
+from .core import as_matrix, is_count, subset_blocks
 from .errors import EnumerationGuardError, ParameterWindowError
 
 RIC_ENUM_MAX_SUPPORTS = 10**6
-_EIG_BATCH = 4096
 
 
 def s_of_k(k):
@@ -44,22 +42,10 @@ def ric_exact(A, order):
         )
     G = A.T @ A
     delta = 0.0
-    batch = []
-    for T in combinations(range(n), order):
-        batch.append(T)
-        if len(batch) == _EIG_BATCH:
-            delta = max(delta, _batch_spectrum_deviation(G, batch))
-            batch.clear()
-    if batch:
-        delta = max(delta, _batch_spectrum_deviation(G, batch))
+    for idx in subset_blocks(n, order, order * order):
+        ev = np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])
+        delta = max(delta, float(np.max(np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0]))))
     return delta
-
-
-def _batch_spectrum_deviation(G, supports):
-    idx = np.asarray(supports, dtype=int)
-    sub = G[idx[:, :, None], idx[:, None, :]]
-    ev = np.linalg.eigvalsh(sub)
-    return float(np.max(np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0])))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Dense linear-algebra primitives, sparsity operators, and the shared data model.
+"""Dense linear-algebra primitives, sparsity operators, k-subset enumeration,
+and the shared data model.
 
 Vectors and matrices are plain float64 ndarrays; a support set is a strictly
 increasing int ndarray of 0-based indices.  Everything here is pure and safe
@@ -9,8 +10,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
+
+# Array entries one subset_blocks block may make its caller hold: 2 MiB of
+# float64, read at call time.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def as_vector(v, name="vector"):
@@ -61,6 +67,22 @@ def hard_threshold(v, k):
 def support(v):
     """Sorted indices of the nonzero entries of v."""
     return np.flatnonzero(np.asarray(v))
+
+
+def subset_blocks(n, k, entries_per_subset):
+    """The k-subsets of range(n) in lexicographic order, in blocks.
+
+    Each block is a (C, k) intp array whose rows are consecutive subsets of
+    itertools.combinations(range(n), k).  C is the number of subsets whose
+    entries_per_subset array entries fit in _BLOCK_ENTRIES, and at least 1.
+    """
+    size = max(1, _BLOCK_ENTRIES // entries_per_subset)
+    subsets = combinations(range(n), k)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(subsets, size)), dtype=np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, k)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,26 @@ def bisection_projection(v, k, iters=200):
     return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
 
 
+def enumeration_binary_ot(A, y, v, k):
+    """Reference exact selection: each k-subset S, in lexicographic order,
+    scored in its own iteration as ||y - B[:, S].sum(axis=1)||^2 with B = A*v;
+    the first smallest objective wins.  Returns (w, objective)."""
+    B = A * v
+    n = B.shape[1]
+    best_obj = math.inf
+    best_support = tuple(range(k))
+    with np.errstate(over="ignore"):
+        for S in combinations(range(n), k):
+            r = y - B[:, S].sum(axis=1)
+            obj = float(r @ r)
+            if obj < best_obj:
+                best_obj = obj
+                best_support = S
+    w = np.zeros(n)
+    w[list(best_support)] = 1.0
+    return w, best_obj
+
+
 def check_root_constants():
     """The three contraction ceilings solve their defining equations."""
     gs = gamma_star()
@@ -119,6 +139,28 @@ def check_relaxation_dominance(rng, trials=25):
         _, exact = solve_binary_ot(A, y, v, k)
         worst = max(worst, relaxed - exact)
     return CheckResult("relaxation_dominance", worst <= 1e-9, f"worst gap {worst:.2e}")
+
+
+def check_exact_selection(rng, trials=20):
+    """Batched exact selection returns the enumeration oracle's support and
+    objective bit for bit; columns i and j of A*v are equal, which forces
+    exact ties, and y lies near them."""
+    differ = 0
+    for _ in range(trials):
+        n = int(rng.integers(3, 11))
+        m = int(rng.integers(2, n + 1))
+        k = int(rng.integers(1, min(4, n) + 1))
+        A = rng.standard_normal((m, n))
+        v = rng.standard_normal(n)
+        i, j = rng.choice(n, size=2, replace=False)
+        A[:, j] = A[:, i]
+        v[j] = v[i]
+        y = v[i] * A[:, i] + 0.5 * rng.standard_normal(m)  # near the tied pair
+        w, obj = solve_binary_ot(A, y, v, k)
+        w_ref, obj_ref = enumeration_binary_ot(A, y, v, k)
+        same_bits = np.float64(obj).tobytes() == np.float64(obj_ref).tobytes()
+        differ += not (np.array_equal(w, w_ref) and same_bits)
+    return CheckResult("exact_selection", differ == 0, f"{differ} of {trials} differ")
 
 
 def check_restricted_ls(rng, trials=50):
@@ -259,4 +301,5 @@ def run_all(seed=20240801):
         check_block_mass(rng),
         check_l2_bound(rng),
         check_envelope_recurrence(rng),
+        check_exact_selection(rng),
     ]

@@ -10,11 +10,9 @@ selectors with exactly k ones.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-
 import numpy as np
 
-from .core import as_matrix, as_vector
+from .core import as_matrix, as_vector, subset_blocks
 from .errors import EnumerationGuardError
 
 # Exhaustive k-subset enumeration is only viable as a desk-scale oracle.
@@ -189,6 +187,11 @@ def solve_binary_ot(A, y, v, k):
     the first subset is returned with objective inf.  Refuses n > 30, where
     C(n, k) stops being a practical oracle, directing callers to the relaxation.
 
+    The subsets are scored in numpy blocks: one einsum screens a block's
+    objectives, and only those within round-off of the block's smallest are
+    scored again as float(r @ r), the objective returned.  Support and
+    objective are bit for bit those of scoring every subset that way in turn.
+
     Returns (w, objective).
     """
     A = as_matrix(A, "A")
@@ -207,16 +210,29 @@ def solve_binary_ot(A, y, v, k):
 
     B = A * v
     best_obj = math.inf
-    best_support = tuple(range(k))
+    best_support = np.arange(k)
+    # Either evaluation of a sum of m nonnegative squares is within about
+    # m*eps/2 (relative) of the exact sum, plus m half-ulps of the smallest
+    # subnormal where squares underflow.  So the subset whose r @ r is the
+    # block's smallest screens within about 2*m*eps (relative) plus 5m such
+    # half-ulps of the screen's minimum; the cut allows more than that.
+    rel_slack = 1.0 + 4 * m * np.finfo(float).eps
+    abs_slack = 4 * m * np.finfo(float).smallest_subnormal
     with np.errstate(over="ignore"):  # an overflowing objective is inf by design
-        for S in combinations(range(n), k):
-            r = y - B[:, S].sum(axis=1)
-            obj = float(r @ r)
-            if obj < best_obj:  # strict '<' keeps the lexicographically first tie
-                best_obj = obj
-                best_support = S
+        for block in subset_blocks(n, k, m * k):
+            # column c is B[:, S].sum(axis=1) for S = block[c]: the same
+            # contiguous length-k reduction, so the same bits
+            R = y[:, None] - B[:, block].sum(axis=2)
+            screen = np.einsum("ij,ij->j", R, R)
+            cut = np.fmin.reduce(screen) * rel_slack + abs_slack  # NaN only if all are
+            for c in np.flatnonzero(screen <= cut):
+                r = R[:, c].copy()  # contiguous, as the objective's dot product reads it
+                obj = float(r @ r)
+                if obj < best_obj:  # strict '<' keeps the lexicographically first tie
+                    best_obj = obj
+                    best_support = block[c]
     w = np.zeros(n)
-    w[list(best_support)] = 1.0
+    w[best_support] = 1.0
     return w, best_obj
 
 

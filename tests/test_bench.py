@@ -114,7 +114,8 @@ class TestRunTrial:
         spec = EnsembleSpec(n=64, kappa=0.5, rho=0.1, seed=4)
         record = run_trial(spec, "hbot")
         assert not record.success
-        assert record.error == "EnumerationGuardError"
+        assert record.error.startswith("EnumerationGuardError: ")
+        assert "C(64," in record.error
         assert record.stop_reason is None
         assert math.isinf(record.rel_error)
 
@@ -227,6 +228,9 @@ class TestTransitionPoint:
         rho50, flag = transition_point(list(zip(rhos, rates)))
         assert not flag
         assert abs(rho50 - 0.30) <= 0.02
+
+    def test_exact_half_at_last_rho_is_not_extrapolated(self):
+        assert transition_point([(0.1, 1.0), (0.2, 0.5)]) == (0.2, False)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -236,7 +236,7 @@ def test_selftest_passes(capsys):
     assert run_cli("selftest") == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "12/12 checks passed" in out
+    assert "13/13 checks passed" in out
 
 
 def test_unknown_flag_rejected():

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otkit.core
 import otkit.subproblems
+from otkit.bench import equiangular_frame
+from otkit.bounds import ric_exact
 from otkit.core import top_k_indices
 from otkit.errors import EnumerationGuardError
-from otkit.selftest import bisection_projection
+from otkit.selftest import bisection_projection, enumeration_binary_ot
 from otkit.subproblems import (MAX_INNER_ITER, OBJECTIVE_REL_TOL,
                                least_squares_on_support,
                                project_capped_simplex, solve_binary_ot,
@@ -269,6 +272,64 @@ class TestBinaryOT:
         w, obj = solve_binary_ot(np.eye(4), np.ones(4), np.full(4, 1e200), 2)
         np.testing.assert_array_equal(w, [1.0, 1.0, 0.0, 0.0])
         assert obj == np.inf
+
+    @staticmethod
+    def _selection_cases(rng, count):
+        """(A, y, v, k): Gaussian matrices; matrices whose columns of A*v
+        repeat three distinct ones, so that subsets tie exactly or sum the
+        same columns in another order; equiangular frames.  k reaches 10,
+        past the 8-term reductions."""
+        for case in range(count):
+            kind = case % 3
+            n = int(rng.integers(2 if kind == 0 else 4, 13))
+            k = int(rng.integers(1, min(10, n) + 1))
+            m = int(rng.integers(1, n + 1))
+            if kind == 0:
+                A, v = rng.standard_normal((m, n)), rng.standard_normal(n)
+            elif kind == 1:
+                group = rng.integers(0, 3, n)
+                A, v = rng.standard_normal((m, 3))[:, group], rng.standard_normal(3)[group]
+            else:
+                A, v = equiangular_frame(n, rng), rng.standard_normal(n)
+            if case % 2:
+                y = rng.standard_normal(A.shape[0])
+            else:  # a k-subset of A*v fits y: near-ties at the minimum
+                y = (A * v)[:, rng.choice(n, size=k, replace=False)].sum(axis=1)
+            yield A, y, v, k
+        yield np.eye(4), np.ones(4), np.full(4, 1e200), 2  # every objective overflows
+
+    def test_batched_matches_loop_oracle(self, rng):
+        cases = list(self._selection_cases(rng, 330))
+        assert max(k for *_, k in cases) == 10
+        for A, y, v, k in cases:
+            w, obj = solve_binary_ot(A, y, v, k)
+            w_ref, obj_ref = enumeration_binary_ot(A, y, v, k)
+            np.testing.assert_array_equal(w, w_ref)
+            assert np.float64(obj).tobytes() == np.float64(obj_ref).tobytes()
+
+    def test_block_size_does_not_change_result(self, rng, monkeypatch):
+        A = equiangular_frame(9, rng)
+        A[:, 5] = A[:, 2]  # exact ties across block boundaries
+        m, n = A.shape
+        y = rng.standard_normal(m)
+        v = rng.standard_normal(n)
+        k = 3
+
+        def results():
+            w, obj = solve_binary_ot(A, y, v, k)
+            return w.tobytes(), np.float64(obj).tobytes()
+
+        selection = results()
+        ric = [ric_exact(A, t) for t in range(1, 5)]
+        for per_block in (1, 7):
+            monkeypatch.setattr(otkit.core, "_BLOCK_ENTRIES", per_block * m * k)
+            assert len(next(otkit.core.subset_blocks(n, k, m * k))) == per_block
+            assert results() == selection
+            ric_blocked = []
+            for t in range(1, 5):
+                monkeypatch.setattr(otkit.core, "_BLOCK_ENTRIES", per_block * t * t)
+                ric_blocked.append(ric_exact(A, t))
+            assert ric_blocked == ric
 
 
 class TestLeastSquares:
