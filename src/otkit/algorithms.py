@@ -26,6 +26,10 @@ from .subproblems import (least_squares_on_support, solve_binary_ot,
 STAGNATION_RTOL = 1e-14
 STAGNATION_RUNS = 3
 
+# OMP solves through its grown QR factor only while ||R||_F ||R^-1||_F, an
+# upper bound on the condition number of the selected columns, is at most this.
+OMP_COND_MAX = 1e8
+
 
 def _search_point(A, y, x, x_prev, alpha, beta):
     """u = x + alpha A^T (y - A x) + beta (x - x_prev) on already-checked
@@ -155,17 +159,60 @@ def _start_trace(problem, starts):
 
 def _run_omp(problem, cfg):
     """Orthogonal matching pursuit: greedy atom selection by max correlation,
-    exactly k steps (fewer only if the residual tolerance is hit early)."""
+    exactly k steps (fewer only if the residual tolerance is hit early).
+
+    The selected columns keep a thin QR factorisation A_S = Q R, grown by one
+    column a step: Gram-Schmidt with one reorthogonalisation pass, and R^-1
+    bordered alongside, so x_S = R^-1 Q^T y costs O(mk) a step.  Since
+    ||R||_F ||R^-1||_F bounds cond(A_S) from above, while it stays at most
+    OMP_COND_MAX the columns are far from the rank rule of
+    least_squares_on_support and both give its unique solution.  Once it
+    does not, or an atom lies exactly in the span already selected, this and
+    every later step calls least_squares_on_support (minimum-norm solution).
+    """
     A, y, k = problem.A, problem.y, problem.k
-    x = np.zeros(problem.n)
+    m, n = A.shape
+    x = np.zeros(n)
     trace = _start_trace(problem, [x])
+    r = y - A @ x
     selected = []
+    Qt = np.zeros((k, m))  # rows: orthonormal basis of the selected columns
+    R_inv = np.zeros((k, k))  # R itself is only needed through its norm
+    qty = np.zeros(k)  # Q^T y
+    r_fro2 = r_inv_fro2 = 0.0  # squared Frobenius norms of R and R^-1
+    factored = True
     while len(selected) < k and trace.residual_norms[-1] > cfg.residual_tol:
-        corr = np.abs(A.T @ (y - A @ x))
+        corr = np.abs(A.T @ r)
         corr[selected] = -np.inf  # never re-select an atom
+        j = len(selected)
         selected.append(int(np.argmax(corr)))
-        x, _ = least_squares_on_support(A, y, np.sort(selected))
-        _record(trace, problem, x, float(np.linalg.norm(y - A @ x)))
+        if factored:
+            a = A[:, selected[-1]]
+            h = Qt[:j] @ a
+            v = a - h @ Qt[:j]
+            h2 = Qt[:j] @ v
+            v -= h2 @ Qt[:j]
+            h += h2
+            diag = float(np.linalg.norm(v))
+            r_fro2 += float(h @ h) + diag * diag
+            # ||R^-1||_F >= 1/diag, so this necessary condition is tested
+            # first: a near-zero diag then never divides into an overflow
+            factored = diag > 0.0 and diag * OMP_COND_MAX >= math.sqrt(r_fro2)
+        if factored:
+            inv = 1.0 / diag  # bordered inverse: [[R, h], [0, diag]]^-1
+            col = -(R_inv[:j, :j] @ h) * inv
+            r_inv_fro2 += float(col @ col) + inv * inv
+            factored = math.sqrt(r_fro2 * r_inv_fro2) <= OMP_COND_MAX
+        if factored:
+            Qt[j] = v * inv
+            R_inv[:j, j], R_inv[j, j] = col, inv
+            qty[j] = Qt[j] @ y
+            x = np.zeros(n)
+            x[selected] = R_inv[:j + 1, :j + 1] @ qty[:j + 1]
+        else:
+            x, _ = least_squares_on_support(A, y, np.sort(selected))
+        r = y - A @ x
+        _record(trace, problem, x, float(np.linalg.norm(r)))
     reason = "residual_tol" if trace.residual_norms[-1] <= cfg.residual_tol else "max_iter"
     return RunResult(x_final=x, trace=trace, stop_reason=reason, iterations=len(selected))
 

@@ -84,14 +84,24 @@ class RICProfile:
         return self.delta_kp1 if self.k % 2 == 1 else self.delta_k
 
 
+# (shape, float64 bytes) of the matrix ric_profile saw last, and its constants
+# by order: certifying k = 1, 2, 3 on one matrix shares orders 2, 3, 4 and 6.
+_ric_memo = (None, {})
+
+
 def ric_profile(A, k):
     """Brute-force RICProfile for sparsity k: one ric_exact(A, order) call per
-    distinct order, orders clamped to n (every vector is trivially n-sparse)."""
+    order not yet computed for this matrix, orders clamped to n (every vector
+    is trivially n-sparse).  Only the most recent matrix's constants are kept."""
+    global _ric_memo
     A = as_matrix(A, "A")
     n = A.shape[1]
     if not is_count(k) or not 1 <= k <= n:
         raise ValueError(f"k={k} must be an integer in 1..{n}")
-    cache = {}
+    key = (A.shape, A.tobytes())
+    if _ric_memo[0] != key:
+        _ric_memo = (key, {})
+    cache = _ric_memo[1]
 
     def delta(order):
         order = min(order, n)

@@ -239,8 +239,8 @@ def solve_binary_ot(A, y, v, k):
 def least_squares_on_support(A, y, support):
     """Least squares restricted to a support: min ||y - A x||_2 with supp(x) in support.
 
-    Solved through an orthogonal factorisation of the column submatrix.  When
-    that submatrix is numerically rank deficient (singular values below
+    Solved by np.linalg.lstsq, an SVD of the column submatrix (LAPACK gelsd).
+    When that submatrix is numerically rank deficient (singular values below
     1e-12 of the largest) the minimum-norm solution is returned and the flag
     is set.
 

@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from otkit import algorithms
 from otkit.algorithms import AlgorithmConfig, _search_point, config_for, run
-from otkit.bench import equiangular_frame
+from otkit.bench import EnsembleSpec, equiangular_frame, generate_instance
 from otkit.bounds import convergence_envelope, hbot_constants, ric_profile
 from otkit.core import ProblemInstance, hard_threshold
 from otkit.errors import EnumerationGuardError
@@ -314,6 +317,73 @@ class TestBaselines:
         assert len(ours) == len(oracle)
         for a, b in zip(ours, oracle):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("kappa,rho,eps,seed", [
+        (0.5, 0.2, 0.0, 5),
+        (0.7, 0.4, 0.0, 9),  # k=72 steps: a loss of orthogonality shows here first
+        (0.6, 0.3, 5e-3, 13),
+    ])
+    def test_omp_matches_per_step_least_squares(self, kappa, rho, eps, seed):
+        spec = EnsembleSpec(n=256, kappa=kappa, rho=rho, noise_eps=eps, seed=seed)
+        problem = generate_instance(spec)
+        A, y, k = problem.A, problem.y, problem.k
+        tol = max(eps, 1e-10)
+        result = run(problem, config_for("omp", residual_tol=tol))
+
+        x = np.zeros(256)
+        oracle = [x.copy()]
+        selected = []
+        while len(selected) < k and np.linalg.norm(y - A @ x) > tol:
+            corr = np.abs(A.T @ (y - A @ x))
+            corr[selected] = -np.inf
+            selected.append(int(np.argmax(corr)))
+            S = np.sort(selected)
+            coef, *_ = np.linalg.lstsq(A[:, S], y, rcond=None)
+            x = np.zeros(256)
+            x[S] = coef
+            oracle.append(x.copy())
+        assert result.iterations == len(selected)
+        assert len(result.trace.iterates) == len(oracle)
+        for step, (a, b) in enumerate(zip(result.trace.iterates, oracle)):
+            np.testing.assert_array_equal(np.flatnonzero(a), np.flatnonzero(b), err_msg=f"step {step}")
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=f"step {step}")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_omp_rank_exhausted_falls_back_to_least_squares(self, seed, monkeypatch):
+        # A has rank 2: from step 3 on every atom lies in the span selected,
+        # so the QR update must hand over to least_squares_on_support
+        local = np.random.default_rng(seed)
+        A = local.normal(0, 1, (5, 2)) @ local.normal(0, 1, (2, 9))
+        A /= np.linalg.norm(A, axis=0)
+        y = local.normal(0, 1, 5)
+        supports = []
+        original = algorithms.least_squares_on_support
+
+        def spy(A, y, support):
+            supports.append(support.tolist())
+            return original(A, y, support)
+
+        monkeypatch.setattr(algorithms, "least_squares_on_support", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run(ProblemInstance(A=A, y=y, k=4), config_for("omp", residual_tol=0.0))
+        assert result.iterations == 4 and result.stop_reason == "max_iter"
+        # the fallback fires at step 3 and solves step 4 too
+        assert len(supports) == 2
+        fallback = result.trace.iterates[-len(supports):]
+        for x, S in zip(fallback, supports, strict=True):
+            assert np.flatnonzero(x).tolist() == S
+            np.testing.assert_array_equal(x, original(A, y, np.array(S))[0])
+
+    def test_omp_zero_atom_falls_back_to_least_squares(self):
+        # y has a component no column reaches, so step 2 selects the zero
+        # column: its orthogonalised atom is exactly 0
+        A = np.array([[1.0, 0.0], [0.0, 0.0]])
+        result = run(ProblemInstance(A=A, y=np.array([1.0, 1.0]), k=2),
+                     config_for("omp", residual_tol=0.0))
+        assert result.iterations == 2
+        np.testing.assert_array_equal(result.x_final, [1.0, 0.0])
+        assert result.trace.residual_norms == [math.sqrt(2.0), 1.0, 1.0]
 
 
 class TestInnerSolveLookup:

@@ -191,8 +191,34 @@ class TestRicProfile:
             return ric_exact(*args, **kwargs)
 
         monkeypatch.setattr(otkit.bounds, "ric_exact", counting)
+        # start without constants memoised by an earlier call on the same frame
+        monkeypatch.setattr(otkit.bounds, "_ric_memo", (None, {}))
         ric_profile(equiangular_frame(10), 2)
         assert calls == [((order,), {}) for order in (2, 4, 6, 3)]
+
+    def test_orders_memoised_for_the_same_matrix(self, monkeypatch):
+        orders = []
+
+        def counting(A, order):
+            orders.append(order)
+            return ric_exact(A, order)
+
+        monkeypatch.setattr(otkit.bounds, "ric_exact", counting)
+        monkeypatch.setattr(otkit.bounds, "_ric_memo", (None, {}))
+        A = equiangular_frame(10)
+        profiles = [ric_profile(A, k) for k in (1, 2, 3)]
+        # k=1 needs orders 1, 2, 3; k=2 adds 4, 6; k=3 adds 9
+        assert orders == [1, 2, 3, 4, 6, 9]
+        assert profiles[2].delta_3k == pytest.approx(8 / 9, abs=1e-10)
+
+        # an equal copy is the same matrix; an in-place edit is not
+        assert ric_profile(A.copy(), 2) == profiles[1]
+        assert orders == [1, 2, 3, 4, 6, 9]
+        A[:, 0] *= 2.0
+        again = ric_profile(A, 1)
+        assert orders[6:] == [1, 2, 3]
+        assert again.delta_k == pytest.approx(3.0)  # ||2 a_0||^2 - 1
+        assert again.delta_2k == ric_exact(A, 2)
 
     def test_non_integral_counts_rejected(self):
         A = equiangular_frame(6)
