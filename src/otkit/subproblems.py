@@ -22,6 +22,10 @@ BINARY_ENUM_MAX_N = 30
 MAX_INNER_ITER = 2000
 OBJECTIVE_REL_TOL = 1e-12
 
+# least_squares_on_support solves the normal equations only while
+# ||R||_F ||R^-1||_F, an upper bound on cond(A_S), is at most this.
+LS_COND_MAX = 1e4
+
 
 def project_capped_simplex(v, k, shift=None):
     """Euclidean projection of v onto {w : sum(w) = k, 0 <= w <= 1}.
@@ -239,10 +243,19 @@ def solve_binary_ot(A, y, v, k):
 def least_squares_on_support(A, y, support):
     """Least squares restricted to a support: min ||y - A x||_2 with supp(x) in support.
 
-    Solved by np.linalg.lstsq, an SVD of the column submatrix (LAPACK gelsd).
-    When that submatrix is numerically rank deficient (singular values below
-    1e-12 of the largest) the minimum-norm solution is returned and the flag
-    is set.
+    support is a 1-d integer array of distinct column indices.  The normal
+    equations are solved by Cholesky: G = A_S^T A_S = L L^T and
+    x_S = L^-T L^-1 A_S^T y, then refined once with the true residual,
+    x_S += L^-T L^-1 A_S^T (y - A_S x_S).  L^T is the R factor of A_S, so
+    ||R||_F^2 = trace(G) and ||R^-1||_F = ||L^-1||_F, and their product
+    bounds cond(A_S) from above, as in the QR factor grown by OMP.  The
+    Cholesky path is taken only while that bound is at most LS_COND_MAX
+    (1e4): the first solve's error, about cond^2 eps, is then at most about
+    2e-8 relative, and the refinement step multiplies it by that factor again.
+    Otherwise, or when cholesky fails, the solve falls back to
+    np.linalg.lstsq, an SVD of A_S (LAPACK gelsd): when A_S is numerically
+    rank deficient (singular values below 1e-12 of the largest) the
+    minimum-norm solution is returned and the flag is set.
 
     Returns (x, rank_deficient).
     """
@@ -251,15 +264,36 @@ def least_squares_on_support(A, y, support):
     m, n = A.shape
     if y.size != m:
         raise ValueError(f"y has length {y.size}, expected {m}")
-    idx = np.asarray(support, dtype=int)
+    idx = np.asarray(support)
     if idx.size == 0:
         return np.zeros(n), False
-    if idx.min() < 0 or idx.max() >= n:
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"support must be a 1-d integer array, got {idx.dtype} of shape {idx.shape}")
+    # checked as a list: cheaper than numpy reductions at the usual sizes
+    entries = idx.tolist()
+    if min(entries) < 0 or max(entries) >= n:
         raise ValueError("support indices out of range")
-    if np.unique(idx).size != idx.size:
+    if len(set(entries)) != len(entries):
         raise ValueError("support contains duplicate indices")
 
-    coef, _, rank, _ = np.linalg.lstsq(A[:, idx], y, rcond=1e-12)
+    As = A[:, idx]
     x = np.zeros(n)
+    # entries near the float limits overflow G or L^-1; the bound then reads
+    # inf or nan, fails the test, and lstsq solves without the warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = As.T @ As
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(G))
+        except np.linalg.LinAlgError:
+            cond_bound2 = math.inf
+        else:
+            l_inv = L_inv.ravel()
+            cond_bound2 = G.trace() * (l_inv @ l_inv)
+    if cond_bound2 <= LS_COND_MAX * LS_COND_MAX:
+        coef = L_inv.T @ (L_inv @ (As.T @ y))
+        coef += L_inv.T @ (L_inv @ (As.T @ (y - As @ coef)))
+        x[idx] = coef
+        return x, False
+    coef, _, rank, _ = np.linalg.lstsq(As, y, rcond=1e-12)
     x[idx] = coef
     return x, rank < idx.size

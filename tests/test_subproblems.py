@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 import otkit.core
 import otkit.subproblems
-from otkit.bench import equiangular_frame
+from otkit.bench import EnsembleSpec, equiangular_frame, generate_instance
 from otkit.bounds import ric_exact
 from otkit.core import top_k_indices
 from otkit.errors import EnumerationGuardError
 from otkit.selftest import bisection_projection, enumeration_binary_ot
-from otkit.subproblems import (MAX_INNER_ITER, OBJECTIVE_REL_TOL,
+from otkit.subproblems import (LS_COND_MAX, MAX_INNER_ITER, OBJECTIVE_REL_TOL,
                                least_squares_on_support,
                                project_capped_simplex, solve_binary_ot,
                                solve_relaxed_ot)
@@ -354,23 +355,47 @@ class TestLeastSquares:
         expected = np.linalg.solve(As.T @ As, As.T @ y)
         np.testing.assert_allclose(x[S], expected, atol=1e-9)
 
-    def test_orthogonality_certificate(self, rng):
-        for _ in range(20):
-            A = rng.standard_normal((7, 11))
-            y = rng.standard_normal(7)
-            S = np.sort(rng.choice(11, size=3, replace=False))
-            x, _ = least_squares_on_support(A, y, S)
-            cert = np.abs(A[:, S].T @ (y - A @ x)).max()
-            assert cert <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(y)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=100)
+    def test_orthogonality_certificate(self, m, n, k, seed):
+        # any least-squares solution leaves a residual orthogonal to A_S, on
+        # either path: tall or wide A_S, full rank or not
+        local = np.random.default_rng(seed)
+        A = local.standard_normal((m, n))
+        y = local.standard_normal(m)
+        S = np.sort(local.choice(n, size=min(k, n), replace=False))
+        x, flag = least_squares_on_support(A, y, S)
+        assert np.all(x[np.setdiff1d(np.arange(n), S)] == 0.0)
+        cert = np.abs(A[:, S].T @ (y - A @ x)).max()
+        assert cert <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(y)
+        if S.size > m:
+            assert flag
 
-    def test_rank_deficient_returns_min_norm(self, rng):
-        col = rng.standard_normal(5)
-        A = np.column_stack([col, col, rng.standard_normal(5)])
-        y = rng.standard_normal(5)
-        x, flag = least_squares_on_support(A, y, np.array([0, 1]))
-        assert flag
-        # minimum-norm solution splits the weight across the duplicates
-        assert np.isclose(x[0], x[1])
+    def test_rank_deficient_returns_min_norm(self):
+        # G = A_S^T A_S is exactly singular: depending on round-off cholesky
+        # raises or returns a factor with a tiny pivot; both must fall back
+        outcomes = set()
+        for seed in range(8):
+            local = np.random.default_rng(seed)
+            A = local.standard_normal((5 + seed, 6))
+            A[:, 3] = A[:, 1]
+            y = local.standard_normal(5 + seed)
+            S = np.array([0, 1, 3]) if seed % 2 else np.array([1, 3])
+            As = A[:, S]
+            try:
+                np.linalg.cholesky(As.T @ As)
+                outcomes.add("factored")
+            except np.linalg.LinAlgError:
+                outcomes.add("raised")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x, flag = least_squares_on_support(A, y, S)
+            assert flag
+            np.testing.assert_array_equal(x[S], np.linalg.lstsq(As, y, rcond=1e-12)[0])
+            # the minimum-norm solution splits the weight across the duplicates
+            assert x[1] == pytest.approx(x[3], rel=1e-9)
+        assert outcomes == {"factored", "raised"}
 
     def test_empty_support(self, rng):
         A = rng.standard_normal((4, 6))
@@ -382,3 +407,79 @@ class TestLeastSquares:
         A = rng.standard_normal((4, 6))
         with pytest.raises(ValueError):
             least_squares_on_support(A, rng.standard_normal(4), np.array([1, 1]))
+
+    @pytest.mark.parametrize("support", [
+        np.array([0.7, 2.2]), [0.0, 2.0], np.array([True, False, True, False, False, False]),
+        np.array([[0, 2]])], ids=["float", "float-list", "bool-mask", "2-d"])
+    def test_non_integer_support_rejected(self, rng, support):
+        A = rng.standard_normal((4, 6))
+        with pytest.raises(ValueError, match="1-d integer array"):
+            least_squares_on_support(A, rng.standard_normal(4), support)
+
+    def test_integer_supports_of_any_width_accepted(self, rng):
+        A = rng.standard_normal((6, 9))
+        y = rng.standard_normal(6)
+        x, _ = least_squares_on_support(A, y, np.array([1, 4, 8]))
+        for support in ([1, 4, 8], np.array([1, 4, 8], dtype=np.uint8),
+                        np.array([8, 1, 4], dtype=np.int32)):
+            np.testing.assert_allclose(least_squares_on_support(A, y, support)[0], x, rtol=1e-13)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.4, 0.5, 0.6, 0.7])
+    @pytest.mark.parametrize("rho", [0.1, 0.2, 0.3, 0.4])
+    def test_matches_lstsq_on_greedy_sweep_geometry(self, kappa, rho):
+        # one noisy instance per greedy-sweep cell (m 77..180, k up to 72),
+        # refit on a support that is not the truth's, so the residual is not 0
+        spec = EnsembleSpec(n=256, kappa=kappa, rho=rho, noise_eps=5e-3,
+                            seed=int(100 * kappa + 1000 * rho))
+        problem = generate_instance(spec)
+        S = np.sort(np.random.default_rng(spec.seed).choice(256, size=spec.k, replace=False))
+        x, flag = least_squares_on_support(problem.A, problem.y, S)
+        expected, *_ = np.linalg.lstsq(problem.A[:, S], problem.y, rcond=1e-12)
+        assert not flag
+        assert np.count_nonzero(x) == spec.k
+        assert np.linalg.norm(x[S] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_ill_conditioned_support_falls_back_to_lstsq(self, rng):
+        # two nearly parallel columns: full rank, cond about 1e6, far beyond
+        # what the normal equations may be trusted with
+        A = rng.standard_normal((30, 8))
+        A[:, 5] = A[:, 2] + 1e-6 * rng.standard_normal(30)
+        A /= np.linalg.norm(A, axis=0)
+        y = rng.standard_normal(30)
+        S = np.array([0, 2, 5, 7])
+        assert LS_COND_MAX < np.linalg.cond(A[:, S]) < 1e7
+        x, flag = least_squares_on_support(A, y, S)
+        expected, _, rank, _ = np.linalg.lstsq(A[:, S], y, rcond=1e-12)
+        assert not flag and rank == 4
+        np.testing.assert_array_equal(x[S], expected)
+        assert np.count_nonzero(x) == 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refinement_step_on_a_moderately_conditioned_support(self, seed):
+        # cond(A_S) about 3e3 stays on the Cholesky path; the normal equations
+        # alone are off by about cond^2 eps (1e-9), the refined solve is not
+        local = np.random.default_rng(seed)
+        A = local.standard_normal((30, 8))
+        A[:, 5] = A[:, 2] + 1e-3 * local.standard_normal(30)
+        A /= np.linalg.norm(A, axis=0)
+        S = np.array([0, 2, 5, 7])
+        As = A[:, S]
+        L_inv = np.linalg.inv(np.linalg.cholesky(As.T @ As))
+        assert np.linalg.norm(As) * np.linalg.norm(L_inv) < LS_COND_MAX
+        assert np.linalg.cond(As) > 1e3
+        truth = local.standard_normal(4)
+        x, flag = least_squares_on_support(A, As @ truth, S)
+        assert not flag
+        assert np.linalg.norm(x[S] - truth) <= 1e-12 * np.linalg.norm(truth)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scale_falls_back_without_warning(self, rng, scale):
+        # G = A_S^T A_S or L^-1 overflows; lstsq copes with the scale
+        A = scale * rng.standard_normal((8, 5))
+        y = rng.standard_normal(8)
+        S = np.array([0, 2, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, flag = least_squares_on_support(A, y, S)
+        assert not flag
+        np.testing.assert_array_equal(x[S], np.linalg.lstsq(A[:, S], y, rcond=1e-12)[0])
