@@ -24,11 +24,70 @@ def s_of_k(k):
     return k % 2
 
 
+# The screen's cut sits _RIC_CUT_C * t * eps * (1 + seed) above the greedy
+# seed: room for the rounding of one computed deviation, so that supports tying
+# with the seed are skipped.
+_RIC_CUT_C = 4
+
+
+def _restrict(G, supports):
+    """G restricted to each row of supports, a (C, t) array of sorted indices."""
+    return G[supports[:, :, None], supports[:, None, :]]
+
+
+def _deviations(G_T):
+    """Spectral deviation from 1 of each matrix of a (C, t, t) stack: one
+    batched eigvalsh call."""
+    ev = np.linalg.eigvalsh(G_T)
+    return np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0])
+
+
+def _greedy_seed(G, order):
+    """Deviation of one order-t support grown greedily: from the empty set, add
+    the column whose sorted support deviates most (the first on ties)."""
+    n = G.shape[0]
+    support = np.empty(0, dtype=np.intp)
+    for _ in range(order):
+        rest = np.setdiff1d(np.arange(n), support)
+        grown = np.sort(np.column_stack(
+            [np.broadcast_to(support, (rest.size, support.size)), rest]), axis=1)
+        dev = _deviations(_restrict(G, grown))
+        best = int(np.argmax(dev))
+        support = grown[best]
+    return float(dev[best])
+
+
 def ric_exact(A, order):
     """Exact order-t restricted isometry constant by exhaustive support enumeration.
 
     delta_t = max over |T| = t of the deviation of the spectrum of A_T^T A_T
-    from 1.  Refuses when C(n, t) exceeds RIC_ENUM_MAX_SUPPORTS.
+    from 1.  Refuses when C(n, t) exceeds RIC_ENUM_MAX_SUPPORTS, and raises
+    ValueError when the Gram matrix or its row sums overflow float64.
+
+    Every support is visited, but eigvalsh runs only where a cheap upper bound
+    on the deviation can beat a greedy seed.  With M = A_T^T A_T - I and
+    eps = 2^-52:
+
+    - seed: a greedy support (see _greedy_seed) gives a deviation d0 <= delta_t
+      from t batched eigvalsh calls of at most n matrices each;
+    - cut: d0 + _RIC_CUT_C * t * eps * (1 + d0), fixed before the pass;
+    - screen: every support is bounded by its Gershgorin row sums,
+      max_i sum_j |M_ij| (the diagonal counts, so columns need not have unit
+      norm).  A support the row sums leave above the cut is bounded again by
+      trace(M^4)^(1/4) = (sum_ij ((M M)_ij)^2)^(1/4), which is much tighter on
+      Gaussian matrices.  Each computed bound is raised by its own rounding
+      error, a factor 1 + t * eps for the row sums and 1 + (t^2 + 2) * eps for
+      the quartic, and eigvalsh runs only where both stay above the cut;
+    - guarantee: the result is the deviation of one support, bit for bit what
+      the unscreened enumeration computes for it, so it is never above that
+      enumeration's maximum.  A skipped support's deviation is at most the
+      cut, so, with LAPACK's backward-stable solver taken to err by at most
+      t * eps * (1 + deviation), the result is at most
+      2 * _RIC_CUT_C * t * eps * (1 + d0) below that maximum.
+
+    The row sums are exact for an equiangular frame, so there only the seed's
+    supports reach eigvalsh.  Neither the seed nor the cut depends on the
+    block boundaries of core.subset_blocks, so neither does the result.
     """
     A = as_matrix(A, "A")
     n = A.shape[1]
@@ -40,11 +99,34 @@ def ric_exact(A, order):
             f"order-{order} constant needs {count} support enumerations "
             f"(limit {RIC_ENUM_MAX_SUPPORTS})"
         )
-    G = A.T @ A
-    delta = 0.0
-    for idx in subset_blocks(n, order, order * order):
-        ev = np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])
-        delta = max(delta, float(np.max(np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ A
+        H = np.abs(G - np.eye(n))
+        finite = bool(np.isfinite(H.sum(axis=1)).all())
+    if not finite:
+        raise ValueError("A^T A or its row sums overflow float64: no isometry "
+                         "constant can be computed at this scale")
+    eps = np.finfo(float).eps
+    delta = _greedy_seed(G, order)
+    cut = delta + _RIC_CUT_C * order * eps * (1.0 + delta)
+    # a block holds two t x t arrays per support: M and M M
+    for idx in subset_blocks(n, order, 2 * order * order):
+        # |G - I| is gathered, not G: the same entries, without a per-block abs
+        row_sums = _restrict(H, idx).sum(axis=2).max(axis=1)
+        idx = idx[row_sums * (1.0 + order * eps) > cut]
+        if not idx.size:
+            continue
+        M = _restrict(G, idx)
+        M.reshape(len(idx), -1)[:, ::order + 1] -= 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = M @ M
+            P *= P
+            quartic = np.sqrt(np.sqrt(P.sum(axis=(1, 2))))
+            # an overflowed (inf or nan) bound skips nothing
+            idx = idx[~(quartic * (1.0 + (order * order + 2) * eps) <= cut)]
+        del M, P  # before the survivors are gathered: a lower peak
+        if idx.size:
+            delta = max(delta, float(np.max(_deviations(_restrict(G, idx)))))
     return delta
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -180,6 +181,31 @@ class TestSuccessGrid:
         for a, b in zip(serial.records, parallel.records):
             assert (a.algorithm, a.spec.seed, a.success, a.rel_error) == \
                    (b.algorithm, b.spec.seed, b.success, b.rel_error)
+
+    def test_pool_leaves_no_process_behind(self):
+        kwargs = dict(n=16, kappa_list=[0.75], rho_list=[0.1], trials_per_cell=2,
+                      algorithms=["iht"], base_seed=3, workers=2)
+        success_grid(**kwargs)
+        assert multiprocessing.active_children() == []
+        # an infinite noise level passes the request checks but makes y
+        # non-finite, so generate_instance raises inside a worker
+        with pytest.raises(ValueError, match="non-finite"):
+            success_grid(**kwargs, noise_eps=math.inf)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_do_not_change_hbrotp_csv(self):
+        # the relaxed solve's BLAS products, not only iht/omp's small ones,
+        # must give the same bytes in a worker as in the parent process
+        outputs = []
+        for workers in (1, 2):
+            grid = success_grid(n=128, kappa_list=[0.5], rho_list=[0.4],
+                                trials_per_cell=4, algorithms=["hbrotp"],
+                                base_seed=21, workers=workers)
+            buf = io.StringIO()
+            write_trials_csv(buf, grid)
+            outputs.append(buf.getvalue().encode())
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

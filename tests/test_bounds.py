@@ -1,8 +1,11 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import otkit.bounds
 from otkit.bench import equiangular_frame
@@ -123,6 +126,16 @@ class TestGeometricEnvelope:
             geometric_envelope(1.0, 1.0, 0.6, 0.5, 0.0, 3)
 
 
+def ric_oracle(A, order):
+    """Order-t isometry constant with one eigvalsh call per sorted support."""
+    G = A.T @ A
+    delta = 0.0
+    for support in combinations(range(A.shape[1]), order):
+        ev = np.linalg.eigvalsh(G[np.ix_(support, support)])
+        delta = max(delta, ev[-1] - 1.0, 1.0 - ev[0])
+    return float(delta)
+
+
 class TestRicExact:
     def test_orthonormal_columns_zero(self):
         Q, _ = np.linalg.qr(np.random.default_rng(0).normal(0, 1, (8, 5)))
@@ -160,6 +173,57 @@ class TestRicExact:
         A = equiangular_frame(n)
         for t in (2, 3, 4):
             assert abs(ric_exact(A, t) - (t - 1) / (n - 1)) < 1e-10
+
+    @pytest.mark.parametrize("n, orders", [(14, range(2, 8)), (20, [9])])
+    def test_equiangular_closed_form_at_certified_orders(self, n, orders):
+        A = equiangular_frame(n, np.random.default_rng(n))
+        for t in orders:
+            assert abs(ric_exact(A, t) - (t - 1) / (n - 1)) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 10),
+           st.sampled_from(["unit", "scaled", "duplicate", "equiangular"]))
+    @settings(deadline=None, max_examples=100)
+    def test_within_slack_below_the_oracle(self, seed, m, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "equiangular":
+            A = equiangular_frame(max(n, 2), rng)
+        else:
+            A = rng.standard_normal((m, n))
+            if kind == "scaled":
+                A *= rng.uniform(0.2, 3.0, n)
+            else:
+                A /= np.linalg.norm(A, axis=0)
+            if kind == "duplicate" and n > 1:
+                A[:, n - 1] = A[:, 0]
+        eps = np.finfo(float).eps
+        for t in range(1, A.shape[1] + 1):
+            oracle = ric_oracle(A, t)
+            delta = ric_exact(A, t)
+            assert oracle - 8 * t * eps * (1 + oracle) <= delta <= oracle
+
+    def test_only_the_seed_reaches_eigvalsh_on_an_equiangular_frame(self, monkeypatch):
+        # every support ties, and its row sums equal its deviation: the greedy
+        # seed's t batches of n, n - 1, ..., n - t + 1 supports are all solved
+        A = equiangular_frame(12, np.random.default_rng(4))
+        eigvalsh = np.linalg.eigvalsh
+        solved = []
+
+        def spy(a):
+            solved.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for t in range(1, 7):
+            solved.clear()
+            assert abs(ric_exact(A, t) - (t - 1) / 11) <= 1e-12
+            assert solved == [(12 - s, s + 1, s + 1) for s in range(t)]
+
+    def test_overflowing_gram_is_refused(self):
+        A = np.random.default_rng(0).standard_normal((6, 9)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                ric_exact(A, 2)
 
 
 class TestRicProfile:
