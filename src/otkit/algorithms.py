@@ -98,16 +98,16 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {ALL_VARIANTS}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be nonnegative and finite")
         if not is_count(self.omega) or self.omega < 1:
             raise ValueError("omega must be a positive integer")
         if not is_count(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
-        if self.residual_tol < 0:
-            raise ValueError("residual_tol must be nonnegative")
+        if not 0 <= self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be finite and nonnegative")
 
 
 @dataclass

@@ -44,8 +44,8 @@ class EnsembleSpec:
             raise ValueError("kappa must be in (0, 1]")
         if not 0 < self.rho <= 1:
             raise ValueError("rho must be in (0, 1]")
-        if self.noise_eps < 0:
-            raise ValueError("noise_eps must be nonnegative")
+        if not 0 <= self.noise_eps < math.inf:
+            raise ValueError("noise_eps must be finite and nonnegative")
 
     @property
     def m(self):

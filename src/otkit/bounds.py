@@ -19,7 +19,7 @@ RIC_ENUM_MAX_SUPPORTS = 10**6
 
 def s_of_k(k):
     """1 for odd k, 0 for even k (the sparsity-order correction term)."""
-    if k < 1:
+    if not is_count(k) or k < 1:
         raise ValueError("k must be a positive integer")
     return k % 2
 
@@ -145,7 +145,7 @@ class RICProfile:
     delta_kp1: float
 
     def __post_init__(self):
-        if self.k < 1:
+        if not is_count(self.k) or self.k < 1:
             raise ValueError("k must be a positive integer")
         deltas = (self.delta_k, self.delta_kp1, self.delta_2k, self.delta_3k)
         if any(d < 0 for d in deltas):
@@ -163,7 +163,7 @@ class RICProfile:
     @property
     def delta_k_sk(self):
         """delta_{k + s(k)}: order k+1 for odd k, order k for even k."""
-        return self.delta_kp1 if self.k % 2 == 1 else self.delta_k
+        return self.delta_kp1 if s_of_k(self.k) else self.delta_k
 
 
 # (shape, float64 bytes) of the matrix ric_profile saw last, and its constants
@@ -203,12 +203,13 @@ def ric_profile(A, k):
 # --- root constants ----------------------------------------------------------
 
 
-def _bisect_increasing(f, lo=1e-9, hi=1.0 - 1e-9, width=1e-12):
-    """Root of a strictly increasing f on (lo, hi) by plain bisection."""
-    flo = f(lo)
-    if flo > 0:
+def _bisect_increasing(f):
+    """Root of a strictly increasing f on (1e-9, 1 - 1e-9) by plain bisection,
+    to a bracket of width 1e-12."""
+    lo, hi = 1e-9, 1.0 - 1e-9
+    if f(lo) > 0:
         return lo
-    while hi - lo > width:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) <= 0.0:
             lo = mid
@@ -230,20 +231,20 @@ def _growth(omega, g):
     return (2 * omega + 1) * g * math.sqrt((1 + g) / (1 - g)) + g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 1 must not answer for 1.0
 def gamma_star_omega(omega):
     """Root of (2w+1) g sqrt((1+g)/(1-g)) + g = 1: delta_3k ceiling for the
     relaxed variant with w compressions (about 0.2118 at w=1)."""
-    if omega < 1:
+    if not is_count(omega) or omega < 1:
         raise ValueError("omega must be a positive integer")
     return _bisect_increasing(lambda g: _growth(omega, g) - 1.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gamma_sharp_omega(omega):
     """delta_3k ceiling for the relaxed pursuit variant: root of the same
     growth function divided by sqrt(1-g^2) (about 0.2079 at w=1)."""
-    if omega < 1:
+    if not is_count(omega) or omega < 1:
         raise ValueError("omega must be a positive integer")
     return _bisect_increasing(lambda g: _growth(omega, g) / math.sqrt(1 - g * g) - 1.0)
 
@@ -251,7 +252,7 @@ def gamma_sharp_omega(omega):
 def xi_q(q):
     """Tight l2 cap on the per-block sup-norms of a capped-simplex vector split
     into q greedy k-blocks: 1 at q=1, 2/sqrt(q)+sqrt(q)/4 on [2,8), sqrt(2) beyond."""
-    if q < 1:
+    if not is_count(q) or q < 1:
         raise ValueError("q must be a positive integer")
     if q == 1:
         return 1.0
@@ -284,16 +285,16 @@ def geometric_envelope(a0, a1, b1, b2, b3, p):
     """Closed-form majorant of a sequence obeying a_{p+1} <= b1 a_p + b2 a_{p-1} + b3.
 
     Returns theta^(p-1) (a1 + (theta - b1) a0) + b3/(1 - theta) with
-    theta = (b1 + sqrt(b1^2 + 4 b2))/2, valid for p >= 2 whenever b1 + b2 < 1.
-    p may be an int or an array of ints.
+    theta = (b1 + sqrt(b1^2 + 4 b2))/2, valid for p >= 1 whenever b1 + b2 < 1
+    (at p = 1 it is at least a1).  p may be an int or an array of ints.
     """
     if b1 < 0 or b2 < 0 or b3 < 0:
         raise ValueError("b1, b2, b3 must be nonnegative")
     if b1 + b2 >= 1:
         raise ParameterWindowError(f"b1+b2={b1 + b2} >= 1: no contraction")
     p_arr = np.asarray(p)
-    if np.any(p_arr < 2):
-        raise ValueError("envelope defined for p >= 2")
+    if np.any(p_arr < 1):
+        raise ValueError("envelope defined for p >= 1")
     theta = 0.5 * (b1 + math.sqrt(b1 * b1 + 4.0 * b2))
     out = theta ** (p_arr - 1) * (a1 + (theta - b1) * a0) + b3 / (1.0 - theta)
     return float(out) if np.isscalar(p) else out
@@ -342,10 +343,10 @@ class BoundConstants:
 
 
 def _validated(alpha, beta):
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
 
 
 def _hbot_window(eta, dks):
@@ -372,12 +373,30 @@ def _hbrot_window(d0, d1, d2, target):
     return (target - d1) / (1.0 + d1 + d2), interval
 
 
+def _window_violations(alpha, beta, window, lo_denominator, refusal):
+    """The alpha/beta check both constants functions share: beta below
+    beta_max, then a positive alpha_lo denominator (else the refusal template,
+    formatted with it), then alpha inside interval(beta).  window is the
+    (beta_max, interval) pair of _hbot_window or _hbrot_window."""
+    beta_max, interval = window
+    violations = []
+    if not beta < beta_max:
+        violations.append(f"beta={beta:.6g} >= beta_max={beta_max:.6g}")
+    if not lo_denominator > 0.0:
+        violations.append(refusal.format(lo_denominator))
+    else:
+        alpha_lo, alpha_hi = interval(beta)
+        if not alpha_lo < alpha < alpha_hi:
+            violations.append(f"alpha={alpha:.6g} outside ({alpha_lo:.6g}, {alpha_hi:.6g})")
+    return violations
+
+
 def hbot_constants(ric, alpha, beta, check=True):
     """Contraction constants for the exact-selection variants (with or without
     the pursuit re-fit; both share one envelope).
 
     With check=True a violated hypothesis raises ParameterWindowError naming
-    the inequality.
+    every violated inequality.
     """
     _validated(alpha, beta)
     dk = ric.delta_k
@@ -389,38 +408,24 @@ def hbot_constants(ric, alpha, beta, check=True):
         violations.append(f"delta_(k+s(k))={dks:.6g} >= gamma*={gs:.6g}")
 
     denom = 1.0 - 2.0 * dk - dks
+    fields = dict(contraction_ok=False)
     if denom <= 0:
         violations.append(f"1 - 2 delta_k - delta_(k+s(k)) = {denom:.6g} <= 0")
-        if check:
-            raise ParameterWindowError("; ".join(violations))
-        return BoundConstants(variant="hbot", alpha=alpha, beta=beta, ric=ric,
-                              s_k=s_of_k(ric.k), window_ok=False, contraction_ok=False,
-                              violations=tuple(violations))
-
-    eta = math.sqrt((1.0 + dk) / denom)
-    root5 = math.sqrt(5.0)
-    beta_max, interval = _hbot_window(eta, dks)
-    if not beta < beta_max:
-        violations.append(f"beta={beta:.6g} >= beta_max={beta_max:.6g}")
-    if 1.0 - root5 * dks > 0.0:
-        alpha_lo, alpha_hi = interval(beta)
-        if not alpha_lo < alpha < alpha_hi:
-            violations.append(f"alpha={alpha:.6g} outside ({alpha_lo:.6g}, {alpha_hi:.6g})")
     else:
-        violations.append(f"1 - sqrt(5) delta_(k+s(k)) = {1.0 - root5 * dks:.6g} <= 0")
-
-    b = eta * (abs(1.0 + beta - alpha) + root5 * alpha * dks)
-    theta = 0.5 * (b + math.sqrt(b * b + 4.0 * eta * beta))
-    C2 = (2.0 + (1.0 + dk) * alpha) / ((1.0 - theta) * math.sqrt(denom)) if theta < 1 else None
+        eta = math.sqrt((1.0 + dk) / denom)
+        root5 = math.sqrt(5.0)
+        violations += _window_violations(alpha, beta, _hbot_window(eta, dks),
+                                         1.0 - root5 * dks,
+                                         "1 - sqrt(5) delta_(k+s(k)) = {:.6g} <= 0")
+        b = eta * (abs(1.0 + beta - alpha) + root5 * alpha * dks)
+        theta = 0.5 * (b + math.sqrt(b * b + 4.0 * eta * beta))
+        C2 = (2.0 + (1.0 + dk) * alpha) / ((1.0 - theta) * math.sqrt(denom)) if theta < 1 else None
+        fields = dict(eta=eta, b=b, theta=theta, C2=C2, contraction_ok=b + eta * beta < 1.0)
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(
-        variant="hbot", alpha=alpha, beta=beta, ric=ric, s_k=s_of_k(ric.k),
-        eta=eta, b=b, theta=theta, C2=C2,
-        window_ok=not violations, contraction_ok=b + eta * beta < 1.0,
-        violations=tuple(violations),
-    )
+    return BoundConstants(variant="hbot", alpha=alpha, beta=beta, ric=ric, s_k=s_of_k(ric.k),
+                          window_ok=not violations, violations=tuple(violations), **fields)
 
 
 def _ratio_or_limit(num, den, limit):
@@ -438,14 +443,12 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     _validated(alpha, beta)
     if variant not in ("hbrot", "hbrotp"):
         raise ValueError(f"variant must be 'hbrot' or 'hbrotp', got {variant!r}")
-    if omega < 1:
+    if not is_count(omega) or omega < 1:
         raise ValueError("omega must be a positive integer")
     k = ric.k
     violations = []
     if not n > 3 * k:
         violations.append(f"n={n} <= 3k={3 * k}")
-        if check:
-            raise ParameterWindowError("; ".join(violations))
     # n <= 3k degenerates the block count; sigma=2 applies the worst-case cap
     # xi_2 = (5/4) sqrt(2), the maximum of xi over all block counts.
     sigma = math.ceil((n - 2 * k) / k) if n > 3 * k else 2
@@ -456,63 +459,49 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     if not d3k < bound:
         name = "gamma*(omega)" if variant == "hbrot" else "gamma#(omega)"
         violations.append(f"delta_3k={d3k:.6g} >= {name}={bound:.6g}")
+    fields = dict(contraction_ok=False)
     if d2k >= 1.0:
         violations.append(f"delta_2k={d2k:.6g} >= 1")
-        if check:
-            raise ParameterWindowError("; ".join(violations))
-        return BoundConstants(variant=variant, alpha=alpha, beta=beta, ric=ric,
-                              s_k=s_of_k(k), omega=omega, sigma=sigma, xi_sigma=xs,
-                              window_ok=False, contraction_ok=False,
-                              violations=tuple(violations))
-
-    t_k = math.sqrt(1.0 + dk) / math.sqrt(1.0 - d2k)
-    z_k = math.sqrt(1.0 - d2k * d2k)
-
-    ratio_d2 = _ratio_or_limit(2 * omega * d3k + d2k,
-                               2 * (omega - 1) * d3k + d2k,
-                               (2 * omega + 1) / (2 * omega - 1))
-    d0 = t_k * (omega * xs + 1.0)
-    d1 = t_k * (2 * omega * d3k + d2k) + d3k
-    d2 = t_k * (xs * (omega - 1) + 1.0) * ratio_d2
-
-    gap = abs(1.0 + beta - alpha)
-    c1_sigma = (xs * (omega - 1) + 1.0) * gap + alpha * (2 * (omega - 1) * d3k + d2k)
-    c2_sigma = xs * gap + 2.0 * alpha * d3k
-    c_sigma = (omega * xs + 1.0) * gap + alpha * (2 * omega * d3k + d2k)
-
-    b1 = t_k * c_sigma + gap + alpha * d3k
-    b2 = beta * t_k * (xs * (omega - 1) + 1.0) * _ratio_or_limit(
-        c_sigma, c1_sigma, (2 * omega + 1) / (2 * omega - 1)) + beta
-    b3 = ((alpha * (2 * omega - 1) * (1.0 + dk) + 2.0) / math.sqrt(1.0 - d2k)
-          * _ratio_or_limit(2 * d3k, 2 * (omega - 1) * d3k + d2k, 2.0 / (2 * omega - 1))
-          * _ratio_or_limit(c_sigma, c2_sigma, (2 * omega + 1) / 2.0)
-          + alpha * math.sqrt(1.0 + dk))
-
-    theta1 = 0.5 * (b1 + math.sqrt(b1 * b1 + 4.0 * b2))
-    theta2 = (b1 + math.sqrt(b1 * b1 + 4.0 * b2 * z_k)) / (2.0 * z_k)
-
-    target = 1.0 if variant == "hbrot" else z_k
-    beta_max, interval = _hbrot_window(d0, d1, d2, target)
-    if not beta < beta_max:
-        violations.append(f"beta={beta:.6g} >= beta_max={beta_max:.6g}")
-    if d0 - d1 + 1.0 > 0.0:
-        alpha_lo, alpha_hi = interval(beta)
-        if not alpha_lo < alpha < alpha_hi:
-            violations.append(f"alpha={alpha:.6g} outside ({alpha_lo:.6g}, {alpha_hi:.6g})")
     else:
-        violations.append(f"d0 - d1 + 1 = {d0 - d1 + 1.0:.6g} <= 0: no admissible step")
+        t_k = math.sqrt(1.0 + dk) / math.sqrt(1.0 - d2k)
+        z_k = math.sqrt(1.0 - d2k * d2k)
+
+        ratio_d2 = _ratio_or_limit(2 * omega * d3k + d2k,
+                                   2 * (omega - 1) * d3k + d2k,
+                                   (2 * omega + 1) / (2 * omega - 1))
+        d0 = t_k * (omega * xs + 1.0)
+        d1 = t_k * (2 * omega * d3k + d2k) + d3k
+        d2 = t_k * (xs * (omega - 1) + 1.0) * ratio_d2
+
+        gap = abs(1.0 + beta - alpha)
+        c1_sigma = (xs * (omega - 1) + 1.0) * gap + alpha * (2 * (omega - 1) * d3k + d2k)
+        c2_sigma = xs * gap + 2.0 * alpha * d3k
+        c_sigma = (omega * xs + 1.0) * gap + alpha * (2 * omega * d3k + d2k)
+
+        b1 = t_k * c_sigma + gap + alpha * d3k
+        b2 = beta * t_k * (xs * (omega - 1) + 1.0) * _ratio_or_limit(
+            c_sigma, c1_sigma, (2 * omega + 1) / (2 * omega - 1)) + beta
+        b3 = ((alpha * (2 * omega - 1) * (1.0 + dk) + 2.0) / math.sqrt(1.0 - d2k)
+              * _ratio_or_limit(2 * d3k, 2 * (omega - 1) * d3k + d2k, 2.0 / (2 * omega - 1))
+              * _ratio_or_limit(c_sigma, c2_sigma, (2 * omega + 1) / 2.0)
+              + alpha * math.sqrt(1.0 + dk))
+
+        theta1 = 0.5 * (b1 + math.sqrt(b1 * b1 + 4.0 * b2))
+        theta2 = (b1 + math.sqrt(b1 * b1 + 4.0 * b2 * z_k)) / (2.0 * z_k)
+
+        target = 1.0 if variant == "hbrot" else z_k
+        violations += _window_violations(alpha, beta, _hbrot_window(d0, d1, d2, target),
+                                         d0 - d1 + 1.0,
+                                         "d0 - d1 + 1 = {:.6g} <= 0: no admissible step")
+        fields = dict(t_k=t_k, z_k=z_k, d0=d0, d1=d1, d2=d2, c1_sigma=c1_sigma,
+                      c_sigma=c_sigma, b1=b1, b2=b2, b3=b3, theta1=theta1, theta2=theta2,
+                      contraction_ok=b1 + b2 < target)
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(
-        variant=variant, alpha=alpha, beta=beta, ric=ric, s_k=s_of_k(k), omega=omega,
-        t_k=t_k, z_k=z_k, sigma=sigma, xi_sigma=xs,
-        d0=d0, d1=d1, d2=d2, c1_sigma=c1_sigma, c_sigma=c_sigma,
-        b1=b1, b2=b2, b3=b3, theta1=theta1, theta2=theta2,
-        window_ok=not violations,
-        contraction_ok=b1 + b2 < target,
-        violations=tuple(violations),
-    )
+    return BoundConstants(variant=variant, alpha=alpha, beta=beta, ric=ric, s_k=s_of_k(k),
+                          omega=omega, sigma=sigma, xi_sigma=xs, window_ok=not violations,
+                          violations=tuple(violations), **fields)
 
 
 def parameter_window(ric, omega=1, variant="hbot", n=None):
@@ -522,26 +511,22 @@ def parameter_window(ric, omega=1, variant="hbot", n=None):
     the window hbot_constants/hbrot_constants check.  For beta < beta_max the
     interval is nonempty and contains 1 + beta.  The relaxed variants need the
     ambient dimension n (for the block count).
+
+    The isometry hypotheses are the constants' own: when they hold, beta_max > 0
+    and 1 lies inside interval(0), so the constants at (alpha, beta) = (1, 0)
+    raise ParameterWindowError exactly when a hypothesis fails, or where
+    beta_max rounds to 0 or below just under a ceiling.  A returned beta_max
+    is positive.
     """
     if variant in ("hbot", "hbotp"):
-        dks = ric.delta_k_sk
-        gs = gamma_star()
-        if not dks < gs:
-            raise ParameterWindowError(f"delta_(k+s(k))={dks:.6g} >= gamma*={gs:.6g}")
-        eta = hbot_constants(ric, alpha=1.0, beta=0.0, check=False).eta
-        beta_max, alpha_interval = _hbot_window(eta, dks)
+        bc = hbot_constants(ric, alpha=1.0, beta=0.0)
+        beta_max, alpha_interval = _hbot_window(bc.eta, ric.delta_k_sk)
     elif variant in ("hbrot", "hbrotp"):
         if n is None:
             raise ValueError("the relaxed variants need the ambient dimension n")
-        bc = hbrot_constants(ric, alpha=1.0, beta=0.0, omega=omega, n=n,
-                             variant=variant, check=False)
-        bound = gamma_star_omega(omega) if variant == "hbrot" else gamma_sharp_omega(omega)
-        if not ric.delta_3k < bound:
-            raise ParameterWindowError(f"delta_3k={ric.delta_3k:.6g} >= {bound:.6g}")
-        if not n > 3 * ric.k:
-            raise ParameterWindowError(f"n={n} <= 3k={3 * ric.k}")
-        target = 1.0 if variant == "hbrot" else bc.z_k
-        beta_max, alpha_interval = _hbrot_window(bc.d0, bc.d1, bc.d2, target)
+        bc = hbrot_constants(ric, alpha=1.0, beta=0.0, omega=omega, n=n, variant=variant)
+        beta_max, alpha_interval = _hbrot_window(
+            bc.d0, bc.d1, bc.d2, 1.0 if variant == "hbrot" else bc.z_k)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -554,32 +539,25 @@ def parameter_window(ric, omega=1, variant="hbot", n=None):
 
 
 def convergence_envelope(bc, a0, a1, noise_norm, p):
-    """Evaluate the per-iteration error envelope at step p (int or array).
+    """Evaluate the per-iteration error envelope at step p >= 1 (int or array).
 
     a0, a1 are the starting error norms; noise_norm is ||nu'|| (the noise plus
-    the off-support tail image).  Dispatches on bc.variant.
+    the off-support tail image).  Every variant's error obeys
+    a_{p+1} <= b1 a_p + b2 a_{p-1} + b3: this picks (b1, b2, b3) for bc.variant
+    and evaluates geometric_envelope.
     """
-    p_arr = np.asarray(p)
-    if np.any(p_arr < 1):
-        raise ValueError("envelope defined for p >= 1")
+    thetas = {"hbot": bc.theta, "hbrot": bc.theta1, "hbrotp": bc.theta2}
+    if bc.variant not in thetas:
+        raise ValueError(f"no envelope for variant {bc.variant!r}")
+    theta = thetas[bc.variant]
+    if theta is None or not theta < 1:
+        raise ParameterWindowError(f"no contraction: {bc.variant} has no theta below 1")
     if bc.variant == "hbot":
-        th, b = bc.theta, bc.b
-        if th is None or th >= 1:
-            raise ParameterWindowError("no contraction: theta >= 1")
-        out = th ** (p_arr - 1) * (a1 + (th - b) * a0) + bc.C2 * noise_norm
+        b1, b2, b3 = bc.b, bc.eta * bc.beta, bc.C2 * (1.0 - theta) * noise_norm
     elif bc.variant == "hbrot":
-        th = bc.theta1
-        if th >= 1:
-            raise ParameterWindowError("no contraction: theta1 >= 1")
-        out = th ** (p_arr - 1) * (a1 + (th - bc.b1) * a0) + bc.b3 * noise_norm / (1.0 - th)
-    elif bc.variant == "hbrotp":
-        th = bc.theta2
-        if th >= 1:
-            raise ParameterWindowError("no contraction: theta2 >= 1")
+        b1, b2, b3 = bc.b1, bc.b2, bc.b3 * noise_norm
+    else:
         tail = (bc.b3 / bc.z_k
                 + math.sqrt(1.0 + bc.ric.delta_k) / (1.0 - bc.ric.delta_2k))
-        out = (th ** (p_arr - 1) * (a1 + (th - bc.b1 / bc.z_k) * a0)
-               + tail * noise_norm / (1.0 - th))
-    else:
-        raise ValueError(f"no envelope for variant {bc.variant!r}")
-    return float(out) if np.isscalar(p) else out
+        b1, b2, b3 = bc.b1 / bc.z_k, bc.b2 / bc.z_k, tail * noise_norm
+    return geometric_envelope(a0, a1, b1, b2, b3, p)

@@ -28,10 +28,11 @@ class CheckResult:
     detail: str = ""
 
 
-def bisection_projection(v, k, iters=200):
-    """Reference projection onto the capped simplex: bisection on the shift."""
+def bisection_projection(v, k):
+    """Reference projection onto the capped simplex: 200 bisection steps on
+    the shift."""
     lo, hi = float(v.min()) - 1.0, float(v.max())
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.clip(v - mid, 0.0, 1.0).sum() >= k:
             lo = mid
@@ -85,10 +86,10 @@ def check_block_norm_caps():
     return CheckResult("block_norm_caps", ok, f"xi_2={vals[1]:.6f}")
 
 
-def check_hard_threshold_best(rng, trials=50):
+def check_hard_threshold_best(rng):
     """H_k(v) is a best k-term approximation (enumerate all supports, n <= 10)."""
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         n = int(rng.integers(2, 11))
         k = int(rng.integers(1, n + 1))
         v = rng.normal(0, 1, n)
@@ -100,12 +101,12 @@ def check_hard_threshold_best(rng, trials=50):
                        f"worst excess {worst:.2e}")
 
 
-def check_projection(rng, trials=200):
+def check_projection(rng):
     """Projection matches the bisection oracle, from no starting shift and from
     a random one; feasibility is exact."""
     worst = 0.0
     worst_mass = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(2, 40))
         k = int(rng.integers(1, n + 1))
         v = rng.normal(0, float(rng.uniform(0.1, 10.0)), n)
@@ -123,10 +124,10 @@ def check_projection(rng, trials=200):
                        f"max dev {worst:.2e}, mass err {worst_mass:.2e}")
 
 
-def check_relaxation_dominance(rng, trials=25):
+def check_relaxation_dominance(rng):
     """Relaxed objective never exceeds the exact binary objective."""
     worst = -math.inf
-    for _ in range(trials):
+    for _ in range(25):
         n = int(rng.integers(4, 13))
         m = int(rng.integers(3, n + 1))
         k = int(rng.integers(1, min(4, n) + 1))
@@ -141,12 +142,12 @@ def check_relaxation_dominance(rng, trials=25):
     return CheckResult("relaxation_dominance", worst <= 1e-9, f"worst gap {worst:.2e}")
 
 
-def check_exact_selection(rng, trials=20):
+def check_exact_selection(rng):
     """Batched exact selection returns the enumeration oracle's support and
     objective bit for bit; columns i and j of A*v are equal, which forces
     exact ties, and y lies near them."""
     differ = 0
-    for _ in range(trials):
+    for _ in range(20):
         n = int(rng.integers(3, 11))
         m = int(rng.integers(2, n + 1))
         k = int(rng.integers(1, min(4, n) + 1))
@@ -160,13 +161,13 @@ def check_exact_selection(rng, trials=20):
         w_ref, obj_ref = enumeration_binary_ot(A, y, v, k)
         same_bits = np.float64(obj).tobytes() == np.float64(obj_ref).tobytes()
         differ += not (np.array_equal(w, w_ref) and same_bits)
-    return CheckResult("exact_selection", differ == 0, f"{differ} of {trials} differ")
+    return CheckResult("exact_selection", differ == 0, f"{differ} of 20 differ")
 
 
-def check_restricted_ls(rng, trials=50):
+def check_restricted_ls(rng):
     """Optimality certificate of the support-restricted least squares."""
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         m = int(rng.integers(4, 12))
         n = int(rng.integers(m, 2 * m))
         s = int(rng.integers(1, min(4, m) + 1))
@@ -181,10 +182,10 @@ def check_restricted_ls(rng, trials=50):
                        f"worst normalised certificate {worst:.2e}")
 
 
-def check_sparse_lower_isometry(rng, trials=60):
+def check_sparse_lower_isometry(rng):
     """||A z||^2 >= (1 - 2 delta_k - delta_{k+s(k)}) ||z||^2 for 2k-sparse z,
     with exactly computed constants."""
-    for _ in range(trials // 20):
+    for _ in range(3):
         m, n = 6, 10
         k = int(rng.integers(1, 3))
         A = rng.standard_normal((m, n))
@@ -202,9 +203,9 @@ def check_sparse_lower_isometry(rng, trials=60):
     return CheckResult("sparse_lower_isometry", True)
 
 
-def check_masked_gram_bound(rng, trials=60):
+def check_masked_gram_bound(rng):
     """||[(I - A^T A)(h - z)] * what||_2 <= sqrt(5) delta_{k+s(k)} ||h - z||_2."""
-    for _ in range(trials // 20):
+    for _ in range(3):
         m, n = 6, 10
         k = int(rng.integers(1, 3))
         A = rng.standard_normal((m, n))
@@ -228,10 +229,10 @@ def check_masked_gram_bound(rng, trials=60):
     return CheckResult("masked_gram_bound", True)
 
 
-def check_block_mass(rng, trials=60):
+def check_block_mass(rng):
     """Greedy k-block decomposition of a capped-simplex vector: the block
     sup-norms sum to less than 2."""
-    for _ in range(trials):
+    for _ in range(60):
         n = int(rng.integers(4, 40))
         k = int(rng.integers(1, n + 1))
         w = project_capped_simplex(rng.normal(0, 2, n), k)
@@ -247,9 +248,9 @@ def check_block_mass(rng, trials=60):
     return CheckResult("capped_simplex_block_mass", True)
 
 
-def check_l2_bound(rng, trials=60):
+def check_l2_bound(rng):
     """The l1/sup-norm l2 bound dominates every sampled vector."""
-    for _ in range(trials):
+    for _ in range(60):
         r = int(rng.integers(2, 30))
         zeta2 = float(rng.uniform(0.1, 2.0))
         zeta1 = zeta2 * float(rng.uniform(1.01, 8.0))
@@ -262,10 +263,10 @@ def check_l2_bound(rng, trials=60):
     return CheckResult("l2_norm_bound", True)
 
 
-def check_envelope_recurrence(rng, trials=40):
+def check_envelope_recurrence(rng):
     """Sequences driven at equality by a_{p+1} = b1 a_p + b2 a_{p-1} + b3 stay
     below the closed-form envelope."""
-    for _ in range(trials):
+    for _ in range(40):
         b1 = float(rng.uniform(0, 0.9))
         b2 = float(rng.uniform(0, 0.99 - b1))
         b3 = float(rng.uniform(0, 2.0))

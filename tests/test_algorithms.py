@@ -429,6 +429,10 @@ class TestConfig:
             AlgorithmConfig(max_iter=2.5)
         with pytest.raises(ValueError, match="max_iter must be a positive integer"):
             AlgorithmConfig(max_iter=True)
+        for field in ("alpha", "beta", "residual_tol"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be"):
+                    AlgorithmConfig(**{field: value})
         AlgorithmConfig(omega=np.int64(2), max_iter=np.int32(7))
 
     def test_dispatch(self, rng):

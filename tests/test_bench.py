@@ -34,6 +34,9 @@ class TestEnsembleSpec:
             EnsembleSpec(n=10, kappa=0.5, rho=1.5)
         with pytest.raises(ValueError):
             EnsembleSpec(n=10, kappa=0.5, rho=0.1, noise_eps=-1)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_eps must be finite"):
+                EnsembleSpec(n=10, kappa=0.5, rho=0.1, noise_eps=eps)
         with pytest.raises(ValueError, match="n must be a positive integer"):
             EnsembleSpec(n=10.0, kappa=0.5, rho=0.1)
         assert EnsembleSpec(n=np.int64(10), kappa=0.5, rho=0.1).m == 5
@@ -182,15 +185,20 @@ class TestSuccessGrid:
             assert (a.algorithm, a.spec.seed, a.success, a.rel_error) == \
                    (b.algorithm, b.spec.seed, b.success, b.rel_error)
 
-    def test_pool_leaves_no_process_behind(self):
+    def test_pool_leaves_no_process_behind(self, monkeypatch):
         kwargs = dict(n=16, kappa_list=[0.75], rho_list=[0.1], trials_per_cell=2,
                       algorithms=["iht"], base_seed=3, workers=2)
         success_grid(**kwargs)
         assert multiprocessing.active_children() == []
-        # an infinite noise level passes the request checks but makes y
-        # non-finite, so generate_instance raises inside a worker
-        with pytest.raises(ValueError, match="non-finite"):
-            success_grid(**kwargs, noise_eps=math.inf)
+
+        # the pool's workers are forked, so they inherit the patch and
+        # generate_instance raises inside a worker
+        def refuse(spec):
+            raise ValueError("instance refused")
+
+        monkeypatch.setattr(otkit.bench, "generate_instance", refuse)
+        with pytest.raises(ValueError, match="instance refused"):
+            success_grid(**kwargs)
         assert multiprocessing.active_children() == []
 
     def test_workers_do_not_change_hbrotp_csv(self):
@@ -216,7 +224,10 @@ class TestSuccessGrid:
         (dict(algorithms=["iht", "bogus"]), "unknown algorithm 'bogus'"),
         (dict(trials_per_cell=1.5), "trials_per_cell must be a positive integer"),
         (dict(workers=0), "workers must be a positive integer"),
-    ], ids=["unknown-algorithm", "fractional-trials", "zero-workers"])
+        (dict(noise_eps=math.nan), "noise_eps must be finite"),
+        (dict(noise_eps=math.inf), "noise_eps must be finite"),
+    ], ids=["unknown-algorithm", "fractional-trials", "zero-workers", "nan-noise",
+            "infinite-noise"])
     def test_bad_request_rejected_before_any_trial(self, monkeypatch, bad, message):
         trials = []
 

@@ -44,6 +44,14 @@ class TestRoots:
         for omega in (1, 2, 3):
             assert gamma_sharp_omega(omega) < gamma_star_omega(omega)
 
+    @pytest.mark.parametrize("root", [gamma_star_omega, gamma_sharp_omega])
+    def test_omega_must_be_an_integer(self, root):
+        value = root(1)  # cached: an equal float must still be refused
+        for omega in (1.0, 1.5, True):
+            with pytest.raises(ValueError, match="omega must be a positive integer"):
+                root(omega)
+        assert root(np.int64(1)) == value
+
 
 class TestSofK:
     @pytest.mark.parametrize("k,expected", [(3, 1), (4, 0), (1, 1), (2, 0), (7, 1)])
@@ -53,6 +61,12 @@ class TestSofK:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             s_of_k(0)
+
+    def test_rejects_non_integers(self):
+        for k in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                s_of_k(k)
+        assert s_of_k(np.int64(3)) == 1
 
 
 class TestXi:
@@ -69,6 +83,12 @@ class TestXi:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             xi_q(0)
+
+    def test_rejects_non_integers(self):
+        for q in (2.5, 2.0):
+            with pytest.raises(ValueError, match="q must be a positive integer"):
+                xi_q(q)
+        assert xi_q(np.int64(2)) == xi_q(2)
 
 
 class TestL2Bound:
@@ -124,6 +144,16 @@ class TestGeometricEnvelope:
     def test_no_contraction_rejected(self):
         with pytest.raises(ParameterWindowError):
             geometric_envelope(1.0, 1.0, 0.6, 0.5, 0.0, 3)
+
+    def test_defined_from_step_one(self):
+        for a0, a1, b1, b2, b3 in ((2.0, 1.5, 0.6, 0.2, 0.1), (0.0, 3.0, 0.0, 0.0, 0.0),
+                                   (5.0, 0.5, 0.3, 0.6, 2.0)):
+            assert geometric_envelope(a0, a1, b1, b2, b3, 1) >= a1
+        assert np.all(geometric_envelope(2.0, 1.5, 0.6, 0.2, 0.1, np.arange(1, 4)) >= 0)
+        with pytest.raises(ValueError, match="p >= 1"):
+            geometric_envelope(2.0, 1.5, 0.6, 0.2, 0.1, 0)
+        with pytest.raises(ValueError, match="p >= 1"):
+            geometric_envelope(2.0, 1.5, 0.6, 0.2, 0.1, np.arange(0, 3))
 
 
 def ric_oracle(A, order):
@@ -231,6 +261,13 @@ class TestRicProfile:
         with pytest.raises(ValueError):
             RICProfile(k=2, delta_k=0.3, delta_2k=0.2, delta_3k=0.4, delta_kp1=0.35)
 
+    def test_k_must_be_an_integer(self):
+        for k in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                RICProfile(k=k, delta_k=0.1, delta_2k=0.2, delta_3k=0.3, delta_kp1=0.15)
+        assert RICProfile(k=np.int64(3), delta_k=0.1, delta_2k=0.2, delta_3k=0.3,
+                          delta_kp1=0.15).delta_k_sk == 0.15
+
     def test_delta_k_sk_parity(self):
         odd = RICProfile(k=1, delta_k=0.1, delta_2k=0.2, delta_3k=0.3, delta_kp1=0.2)
         assert odd.delta_k_sk == 0.2
@@ -297,6 +334,21 @@ def zero_ric(k):
     return RICProfile(k=k, delta_k=0.0, delta_2k=0.0, delta_3k=0.0, delta_kp1=0.0)
 
 
+@pytest.mark.parametrize("alpha, beta, message", [
+    (math.nan, 0.0, "alpha must be positive and finite"),
+    (math.inf, 0.0, "alpha must be positive and finite"),
+    (0.0, 0.0, "alpha must be positive and finite"),
+    (1.0, math.nan, "beta must be nonnegative and finite"),
+    (1.0, math.inf, "beta must be nonnegative and finite"),
+    (1.0, -0.1, "beta must be nonnegative and finite"),
+])
+def test_constants_refuse_bad_step_parameters(alpha, beta, message):
+    with pytest.raises(ValueError, match=message):
+        hbot_constants(zero_ric(2), alpha, beta, check=False)
+    with pytest.raises(ValueError, match=message):
+        hbrot_constants(zero_ric(2), alpha, beta, omega=1, n=20, check=False)
+
+
 class TestHbotConstants:
     def test_zero_deltas_collapse(self):
         bc = hbot_constants(zero_ric(2), alpha=1.0, beta=0.0)
@@ -355,6 +407,15 @@ class TestHbrotConstants:
                          delta_kp1=0.25)
         with pytest.raises(ParameterWindowError, match="gamma"):
             hbrot_constants(ric, alpha=1.0, beta=0.0, omega=1, n=20, variant="hbrotp")
+
+    def test_omega_must_be_an_integer(self):
+        for omega in (1.5, 2.0):
+            with pytest.raises(ValueError, match="omega must be a positive integer"):
+                hbrot_constants(zero_ric(2), alpha=1.0, beta=0.0, omega=omega, n=20,
+                                variant="hbrot")
+        bc = hbrot_constants(zero_ric(2), alpha=1.0, beta=0.0, omega=np.int64(2), n=20,
+                             variant="hbrot")
+        assert bc.window_ok
 
     def test_needs_room_above_three_k(self):
         with pytest.raises(ParameterWindowError, match="3k"):
@@ -471,6 +532,47 @@ class TestParameterWindow:
                          delta_kp1=0.3)
         with pytest.raises(ParameterWindowError):
             parameter_window(ric, variant="hbot")
+        # delta_(k+s(k)) about 1e-12 below gamma*: beta_max rounds below 0,
+        # an empty window, so the hypothesis counts as failed
+        ric = RICProfile(k=2, delta_k=0.22747455278905518, delta_kp1=0.22747455281884074,
+                         delta_2k=0.22747455285551382, delta_3k=0.22747455297419134)
+        with pytest.raises(ParameterWindowError):
+            parameter_window(ric, variant="hbot")
+
+    @given(st.sampled_from(["hbot", "hbotp", "hbrot", "hbrotp"]), st.integers(1, 3),
+           st.integers(1, 5), st.integers(-2, 2), st.floats(0.7, 1.3),
+           st.floats(-1e-8, 1e-8), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=400)
+    def test_raises_exactly_when_a_hypothesis_fails(self, variant, omega, k, n_offset,
+                                                    scale, shift, near, seed):
+        # the constrained constant sits at scale times its ceiling, or within
+        # 1e-8 of it; the other constants are drawn around it in order
+        ceiling = {"hbot": gamma_star(), "hbotp": gamma_star(),
+                   "hbrot": gamma_star_omega(omega),
+                   "hbrotp": gamma_sharp_omega(omega)}[variant]
+        top = ceiling + shift if near else ceiling * scale
+        n = 3 * k + 1 + n_offset
+        # position of the constrained constant in (delta_k, delta_kp1, delta_2k, delta_3k)
+        at = s_of_k(k) if variant.startswith("hbot") else 3
+        u = np.random.default_rng(seed).uniform(0, 1, 4)
+        deltas = np.sort([top * x if i < at else top * (1 + 0.3 * x)
+                          for i, x in enumerate(u)])
+        deltas[at] = top
+        dk, dkp1, d2k, d3k = map(float, deltas)
+        ric = RICProfile(k=k, delta_k=dk, delta_2k=d2k, delta_3k=d3k, delta_kp1=dkp1)
+        fails = not top < ceiling or (variant.startswith("hbrot") and not n > 3 * k)
+        if fails:
+            with pytest.raises(ParameterWindowError):
+                parameter_window(ric, omega=omega, variant=variant, n=n)
+            return
+        try:
+            beta_max, _ = parameter_window(ric, omega=omega, variant=variant, n=n)
+        except ParameterWindowError:
+            # only where the ceiling itself, a bisection root to 1e-12, is
+            # not resolved: beta_max rounds to 0 or below
+            assert ceiling - top < 1e-11
+            return
+        assert beta_max > 0
 
 
 class TestEnvelopeDispatch:
@@ -485,3 +587,10 @@ class TestEnvelopeDispatch:
         bc = hbot_constants(zero_ric(2), alpha=1.0, beta=2.0, check=False)
         with pytest.raises(ParameterWindowError):
             convergence_envelope(bc, 1.0, 1.0, 0.0, 2)
+
+    def test_rejects_degenerate_relaxed_constants(self):
+        # delta_2k >= 1 leaves the relaxed constants, theta1 included, unset
+        ric = RICProfile(k=1, delta_k=0.5, delta_2k=1.0, delta_3k=1.1, delta_kp1=0.9)
+        bc = hbrot_constants(ric, 1.0, 0.0, omega=1, n=20, check=False)
+        with pytest.raises(ParameterWindowError, match="no contraction"):
+            convergence_envelope(bc, 1.0, 1.0, 0.0, 3)

@@ -107,6 +107,16 @@ class TestRecover:
                        "--y", str(tmp_path / "y.csv"), "--k", "9")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--tol"])
+    def test_nan_step_parameter_is_usage_error(self, tmp_path, flag):
+        save_matrix_csv(tmp_path / "A.csv", np.eye(4))
+        save_vector_csv(tmp_path / "y.csv", np.ones(4))
+        code = run_cli("recover", "--A", str(tmp_path / "A.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--k", "2", flag, "nan",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
+
     def test_guard_is_window_exit(self, tmp_path):
         prefix = str(tmp_path / "big")
         run_cli("gen", "--n", "64", "--kappa", "0.5", "--rho", "0.1",
@@ -143,6 +153,13 @@ class TestGrid:
         code = run_cli("grid", "--kappa-min", "0.5", "--kappa-max", "0.4",
                        "--out", str(tmp_path / "g.csv"))
         assert code == EXIT_USAGE
+
+    def test_nan_noise_rejected(self, tmp_path):
+        out = tmp_path / "g.csv"
+        code = run_cli("grid", "--n", "16", "--trials", "1", "--algos", "iht",
+                       "--eps", "nan", "--threads", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         code = run_cli("grid", "--n", "16", "--algos", "sparta",
@@ -195,6 +212,11 @@ class TestBounds:
         assert code == EXIT_WINDOW
         out = capsys.readouterr().out
         assert "window: FAIL" in out
+
+    def test_nan_alpha_is_usage_error(self):
+        code = run_cli("bounds", "--delta-k", "0", "--delta-2k", "0", "--delta-3k", "0",
+                       "--alpha", "nan", "--k", "2", "--variant", "hbot")
+        assert code == EXIT_USAGE
 
     def test_bad_delta_ordering_is_usage_error(self):
         code = run_cli("bounds", "--delta-k", "0.3", "--delta-2k", "0.1",
