@@ -8,9 +8,10 @@ to share across concurrent benchmark trials.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,20 +70,48 @@ def support(v):
     return np.flatnonzero(np.asarray(v))
 
 
+# one certification pass asks for about 65 (n, k) pairs
+@lru_cache(maxsize=256)
+def _binomial_table(n, k):
+    """Read-only (k + 1, n) intp array: row j holds C(a, j) for a in range(n),
+    each capped at C(n, k) + 1.  Every rank of a k-subset of range(n) is below
+    the cap, so a search of a rank in a capped row finds what it would find in
+    the true row, and no entry overflows."""
+    cap = math.comb(n, k) + 1
+    table = np.array([[min(math.comb(a, j), cap) for a in range(n)]
+                      for j in range(k + 1)], dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def subset_blocks(n, k, entries_per_subset):
     """The k-subsets of range(n) in lexicographic order, in blocks.
 
     Each block is a (C, k) intp array whose rows are consecutive subsets of
     itertools.combinations(range(n), k).  C is the number of subsets whose
     entries_per_subset array entries fit in _BLOCK_ENTRIES, and at least 1.
+
+    The rows are unranked in numpy with the combinatorial number system: the
+    subset c_0 < ... < c_(k-1) of lexicographic rank r is the mirror image,
+    c_i = n - 1 - a_i, of the subset a_0 > ... > a_(k-1) of colex rank
+    C(n, k) - 1 - r = C(a_0, k) + C(a_1, k - 1) + ... + C(a_(k-1), 1), and
+    each a_i is the largest a whose binomial fits in what is left.  Rows and
+    block boundaries are those of itertools.combinations, split every C rows.
     """
     size = max(1, _BLOCK_ENTRIES // entries_per_subset)
-    subsets = combinations(range(n), k)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(subsets, size)), dtype=np.intp)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, k)
+    count = math.comb(n, k)
+    table = _binomial_table(n, k)
+    for start in range(count - 1, -1, -size):
+        left = np.arange(start, max(start - size, -1), -1, dtype=np.intp)
+        block = np.empty((left.size, k), dtype=np.intp)
+        for i in range(k - 1):
+            row = table[k - i]
+            a = row.searchsorted(left, side="right") - 1
+            block[:, i] = a
+            left -= row[a]
+        block[:, k - 1] = left  # C(a, 1) = a
+        np.subtract(n - 1, block, out=block)
+        yield block
 
 
 @dataclass(frozen=True)

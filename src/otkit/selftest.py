@@ -29,14 +29,23 @@ class CheckResult:
 
 
 def bisection_projection(v, k):
-    """Reference projection onto the capped simplex: 200 bisection steps on
-    the shift."""
+    """Reference projection onto the capped simplex: at most 200 bisection
+    steps on the shift.
+
+    A step is a function of the bracket (lo, hi) alone, so once a step leaves
+    the bracket as it was, every later step would too: the loop stops there,
+    and the result is bit for bit that of all 200 steps.
+    """
     lo, hi = float(v.min()) - 1.0, float(v.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.clip(v - mid, 0.0, 1.0).sum() >= k:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
 

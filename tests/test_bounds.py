@@ -231,6 +231,15 @@ class TestRicExact:
             delta = ric_exact(A, t)
             assert oracle - 8 * t * eps * (1 + oracle) <= delta <= oracle
 
+    @pytest.mark.parametrize("order", [99, 100])
+    def test_orders_whose_binomials_exceed_int64(self, order):
+        # enumerating order 99 of 100 columns passes through C(100, 50) > 2^63
+        A = np.random.default_rng(7).standard_normal((5, 100))
+        eps = np.finfo(float).eps
+        oracle = ric_oracle(A, order)
+        delta = ric_exact(A, order)
+        assert oracle - 8 * order * eps * (1 + oracle) <= delta <= oracle
+
     def test_only_the_seed_reaches_eigvalsh_on_an_equiangular_frame(self, monkeypatch):
         # every support ties, and its row sums equal its deviation: the greedy
         # seed's t batches of n, n - 1, ..., n - t + 1 supports are all solved

@@ -1,11 +1,14 @@
+from itertools import combinations, islice, zip_longest
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otkit.core
 from otkit.core import (ProblemInstance, hard_threshold, load_matrix_csv,
                         load_vector_csv, save_matrix_csv, save_vector_csv,
-                        support, top_k_indices)
+                        subset_blocks, support, top_k_indices)
 
 
 class TestTopK:
@@ -136,3 +139,40 @@ class TestCsvRoundTrip:
 def test_support_sorted():
     assert list(support(np.array([0.0, 3.0, 0.0, -1.0]))) == [1, 3]
 
+
+def combination_blocks(n, k, size):
+    """itertools.combinations(range(n), k), cut into lists of size subsets."""
+    subsets = combinations(range(n), k)
+    while block := list(islice(subsets, size)):
+        yield block
+
+
+class TestSubsetBlocks:
+    @staticmethod
+    def assert_blocks_match(n, k, entries_per_subset, blocks=None):
+        size = max(1, otkit.core._BLOCK_ENTRIES // entries_per_subset)
+        got = islice(subset_blocks(n, k, entries_per_subset), blocks)
+        want = islice(combination_blocks(n, k, size), blocks)
+        for block, ref in zip_longest(got, want):
+            assert block is not None and ref is not None
+            assert block.dtype == np.intp
+            assert block.shape == (len(ref), k)
+            assert block.tolist() == [list(S) for S in ref]
+
+    @pytest.mark.parametrize("per_block", [1, 7, None])
+    def test_every_small_case(self, per_block, monkeypatch):
+        for n in range(13):
+            for k in range(1, n + 2):
+                if per_block is not None:
+                    monkeypatch.setattr(otkit.core, "_BLOCK_ENTRIES", per_block * k)
+                self.assert_blocks_match(n, k, k)
+
+    @pytest.mark.parametrize("n, k", [(100, 1), (100, 99), (100, 100)])
+    def test_binomials_beyond_int64(self, n, k):
+        # C(100, 50) > 2^63, so the unranking table must not hold it
+        self.assert_blocks_match(n, k, 2 * k * k)
+
+    def test_largest_binary_selection(self):
+        # n = 30 is the most solve_binary_ot enumerates; its first blocks
+        # carry the highest colex ranks
+        self.assert_blocks_match(30, 15, 30 * 15, blocks=3)

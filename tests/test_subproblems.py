@@ -102,6 +102,40 @@ class TestProjection:
         assert (np.linalg.norm(w - v) <= np.linalg.norm(other - v) + 1e-10)
 
 
+def bisection_all_steps(v, k):
+    """bisection_projection's loop run for all of its 200 steps, with no stop
+    at a fixed point.  Returns (w, shift)."""
+    lo, hi = float(v.min()) - 1.0, float(v.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, 1.0).sum() >= k:
+            lo = mid
+        else:
+            hi = mid
+    shift = 0.5 * (lo + hi)
+    return np.clip(v - shift, 0.0, 1.0), shift
+
+
+class TestBisectionOracle:
+    @given(st.integers(1, 60), st.data(), st.floats(-6.0, 6.0),
+           st.sampled_from(["random", "shift near 0", "constant"]),
+           st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=300)
+    def test_bits_equal_all_steps(self, n, data, log_scale, kind, seed):
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        v = 10.0**log_scale * rng.standard_normal(n)
+        if kind == "constant":
+            v[:] = v[0]
+        if kind == "shift near 0":
+            # near a zero shift the ulps are smallest, so the bracket moves
+            # longest: about 110 steps, against about 55 elsewhere
+            _, shift = bisection_all_steps(v, k)
+            v = v - shift + data.draw(st.sampled_from(
+                [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, 1e-9]))
+        assert bisection_projection(v, k).tobytes() == bisection_all_steps(v, k)[0].tobytes()
+
+
 def two_product_relaxed_ot(A, y, v, k):
     """solve_relaxed_ot as a loop that forms the Gram product at the search
     point afresh each step: two products G @ z and G @ w per step, the shift
