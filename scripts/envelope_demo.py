@@ -42,13 +42,11 @@ def main():
 
     truth = np.zeros(args.n)
     truth[int(rng.integers(0, args.n))] = 1.0
+    y = A @ truth
     if args.eps > 0:
         h = rng.standard_normal(args.n - 1)
-        noise = args.eps * h / np.linalg.norm(h)
-        y = A @ truth + noise
-    else:
-        noise, y = None, A @ truth
-    problem = ProblemInstance(A=A, y=y, k=1, truth=truth, noise=noise)
+        y += args.eps * h / np.linalg.norm(h)
+    problem = ProblemInstance(A=A, y=y, k=1, truth=truth)
     result = run(problem, config_for("hbrotp", alpha=alpha, beta=beta,
                                      max_iter=50, residual_tol=0.0))
 

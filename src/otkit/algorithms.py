@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # top_k_indices is not called here, but instrumentation patches this name too
-from .core import (IterateTrace, ProblemInstance, as_vector, hard_threshold,
-                   is_count, support, top_k_indices)  # noqa: F401
+from .core import (IterateTrace, ProblemInstance, hard_threshold, is_count,
+                   support, top_k_indices)  # noqa: F401
 from .subproblems import (least_squares_on_support, solve_binary_ot,
                           solve_relaxed_ot)
 
@@ -83,7 +83,7 @@ class AlgorithmConfig:
     the CLI.  alpha/beta are the gradient and momentum weights of the
     heavy-ball family (beta=0 disables momentum; the baselines ignore both);
     omega counts relaxed compressions per iteration and only affects the
-    relaxed variants.  x0/x1 override the zero starting points.
+    relaxed variants.  Every run starts from zero.
     """
 
     variant: str = "hbrotp"
@@ -92,8 +92,6 @@ class AlgorithmConfig:
     omega: int = 1
     max_iter: int = 50
     residual_tol: float = 1e-10
-    x0: np.ndarray | None = None
-    x1: np.ndarray | None = None
 
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
@@ -128,30 +126,17 @@ class RunResult:
     inner_flags: int = 0
 
 
-def _starting_point(x, n, k, name):
-    if x is None:
-        return np.zeros(n)
-    x = as_vector(x, name)
-    if x.size != n:
-        raise ValueError(f"{name} has length {x.size}, expected {n}")
-    if np.count_nonzero(x) > k:
-        raise ValueError(f"{name} must be k-sparse (at most {k} nonzeros)")
-    return x.copy()
-
-
 def _record(trace, problem, x, residual_norm):
     """Append iterate x and its residual norm to the trace."""
     trace.iterates.append(x.copy())
     trace.residual_norms.append(residual_norm)
-    trace.supports.append(support(x))
     if trace.errors_to_truth is not None:
         trace.errors_to_truth.append(float(np.linalg.norm(x - problem.truth)))
 
 
 def _start_trace(problem, starts):
-    trace = IterateTrace(iterates=[], residual_norms=[], supports=[],
-                         errors_to_truth=None if problem.truth is None else [],
-                         candidate_residual_norms=[])
+    trace = IterateTrace(iterates=[], residual_norms=[],
+                         errors_to_truth=None if problem.truth is None else [])
     for x in starts:
         _record(trace, problem, x, float(np.linalg.norm(problem.y - problem.A @ x)))
     return trace
@@ -210,7 +195,7 @@ def _run_omp(problem, cfg):
             x = np.zeros(n)
             x[selected] = R_inv[:j + 1, :j + 1] @ qty[:j + 1]
         else:
-            x, _ = least_squares_on_support(A, y, np.sort(selected))
+            x = least_squares_on_support(A, y, np.sort(selected))
         r = y - A @ x
         _record(trace, problem, x, float(np.linalg.norm(r)))
     reason = "residual_tol" if trace.residual_norms[-1] <= cfg.residual_tol else "max_iter"
@@ -218,19 +203,18 @@ def _run_omp(problem, cfg):
 
 
 def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
-    """Run cfg.variant on the problem.  The trace holds the starting points
-    first, and for hbotp/hbrotp each candidate's residual before the re-fit."""
+    """Run cfg.variant on the problem from zero.  The trace holds the starting
+    points first: two for the heavy-ball family, one for IHT, HTP and OMP."""
     if cfg.variant == "omp":
         return _run_omp(problem, cfg)
     select, refit, heavy_ball = _VARIANTS[cfg.variant]
     A, y, k = problem.A, problem.y, problem.k
-    x_prev = _starting_point(cfg.x0, problem.n, k, "x0")
-    x_curr = _starting_point(cfg.x1, problem.n, k, "x1") if heavy_ball else x_prev
+    x_prev = x_curr = np.zeros(problem.n)
     alpha, beta = (cfg.alpha, cfg.beta) if heavy_ball else (1.0, 0.0)
     trace = _start_trace(problem, [x_prev, x_curr] if heavy_ball else [x_curr])
 
     a_fro = float(np.linalg.norm(A))  # ||A||_F
-    step = float(np.linalg.norm(x_curr - x_prev))
+    step = 0.0
     inner_flags = 0
     stagnant = 0
     iters = 0
@@ -253,11 +237,7 @@ def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
             break
         u = _search_point(A, y, x_curr, x_prev, alpha, beta)
         candidate, flags = select(A, y, u, k, cfg)
-        x_next = candidate
-        if refit:
-            x_next, _ = least_squares_on_support(A, y, support(candidate))
-            if heavy_ball:
-                trace.candidate_residual_norms.append(float(np.linalg.norm(y - A @ candidate)))
+        x_next = least_squares_on_support(A, y, support(candidate)) if refit else candidate
         inner_flags += flags
         iters += 1
 

@@ -61,7 +61,9 @@ def generate_instance(spec):
 
     A is m x n i.i.d. standard normal with every column scaled to unit norm;
     the truth is k-sparse with a uniform random support and standard normal
-    nonzeros; the noise is noise_eps times a unit-norm Gaussian direction.
+    nonzeros; y is A @ truth plus, when noise_eps > 0, noise_eps times a
+    unit-norm Gaussian direction, so ||y - A @ truth|| is noise_eps up to
+    round-off.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     m, n, k = spec.m, spec.n, spec.k
@@ -70,15 +72,12 @@ def generate_instance(spec):
     supp = np.sort(rng.choice(n, size=k, replace=False))
     truth = np.zeros(n)
     truth[supp] = rng.standard_normal(k)
+    y = A @ truth
     if spec.noise_eps > 0:
         h = rng.standard_normal(m)
         h /= np.linalg.norm(h)
-        noise = spec.noise_eps * h
-        y = A @ truth + noise
-    else:
-        noise = None
-        y = A @ truth
-    return ProblemInstance(A=A, y=y, k=k, truth=truth, noise=noise)
+        y += spec.noise_eps * h
+    return ProblemInstance(A=A, y=y, k=k, truth=truth)
 
 
 def equiangular_frame(n, rng=None):

@@ -50,8 +50,8 @@ def top_k_indices(v, k):
     result is deterministic across runs and platforms.
     """
     v = as_vector(v)
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k={k} out of range 1..{v.size}")
+    if not is_count(k) or not 1 <= k <= v.size:
+        raise ValueError(f"k={k} must be an integer in 1..{v.size}")
     order = np.argsort(-np.abs(v), kind="stable")  # stable: ties keep low index first
     return np.sort(order[:k])
 
@@ -118,15 +118,13 @@ def subset_blocks(n, k, entries_per_subset):
 class ProblemInstance:
     """One sparse linear inverse instance: recover a k-sparse x from y = A x + noise.
 
-    truth and noise are optional; when both are given, y must reproduce
-    A @ truth + noise to accumulation round-off.
+    truth is optional: with it, runs record each iterate's error to it.
     """
 
     A: np.ndarray
     y: np.ndarray
     k: int
     truth: np.ndarray | None = None
-    noise: np.ndarray | None = None
 
     def __post_init__(self):
         A = as_matrix(self.A, "A")
@@ -143,16 +141,6 @@ class ProblemInstance:
             if truth.size != n:
                 raise ValueError(f"truth has length {truth.size}, expected {n}")
             object.__setattr__(self, "truth", truth)
-        if self.noise is not None:
-            noise = as_vector(self.noise, "noise")
-            if noise.size != m:
-                raise ValueError(f"noise has length {noise.size}, expected {m}")
-            object.__setattr__(self, "noise", noise)
-        if self.truth is not None and self.noise is not None:
-            recon = A @ self.truth + self.noise
-            scale = max(1.0, float(np.linalg.norm(y)))
-            if float(np.linalg.norm(recon - y)) > 1e-12 * scale:
-                raise ValueError("y does not equal A @ truth + noise within 1e-12 relative")
 
     @property
     def m(self):
@@ -165,18 +153,16 @@ class ProblemInstance:
 
 @dataclass
 class IterateTrace:
-    """Per-iteration record of a run: iterates x^p, residual norms, supports.
+    """Per-iteration record of a run: iterates x^p and their residual norms,
+    and their errors to the truth when the problem has one.
 
-    iterates[p] is x^p (the two starting points included), so index == step
-    counter.  candidate_residual_norms holds, for pursuit variants, the
-    residual of the thresholded candidate before the least-squares re-fit.
+    iterates[p] is x^p (the starting points included), so index == step
+    counter; the support of x^p is np.flatnonzero(iterates[p]).
     """
 
     iterates: list
     residual_norms: list
-    supports: list
     errors_to_truth: list | None = None
-    candidate_residual_norms: list | None = None
 
 
 # --- text round-trip I/O ----------------------------------------------------

@@ -37,9 +37,10 @@ def bisection_projection(v, k):
     and the result is bit for bit that of all 200 steps.
     """
     lo, hi = float(v.min()) - 1.0, float(v.max())
+    # minimum(maximum()) is clip without np.clip's Python wrapper, bit for bit
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, 1.0).sum() >= k:
+        if np.minimum(np.maximum(v - mid, 0.0), 1.0).sum() >= k:
             if mid == lo:
                 break
             lo = mid
@@ -47,7 +48,7 @@ def bisection_projection(v, k):
             if mid == hi:
                 break
             hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+    return np.minimum(np.maximum(v - 0.5 * (lo + hi), 0.0), 1.0)
 
 
 def enumeration_binary_ot(A, y, v, k):
@@ -183,7 +184,7 @@ def check_restricted_ls(rng):
         A = rng.standard_normal((m, n))
         y = rng.standard_normal(m)
         S = np.sort(rng.choice(n, size=s, replace=False))
-        x, _ = least_squares_on_support(A, y, S)
+        x = least_squares_on_support(A, y, S)
         cert = float(np.abs(A[:, S].T @ (y - A @ x)).max())
         scale = float(np.linalg.norm(A) * np.linalg.norm(y))
         worst = max(worst, cert / max(scale, 1e-30))
@@ -296,7 +297,7 @@ def check_top_k_determinism():
     return CheckResult("top_k_tie_breaking", ok)
 
 
-def run_all(seed=20240801):
+def run_all(seed):
     rng = np.random.default_rng(seed)
     return [
         check_root_constants(),

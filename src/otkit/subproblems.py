@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import as_matrix, as_vector, subset_blocks
+from .core import as_matrix, as_vector, is_count, subset_blocks
 from .errors import EnumerationGuardError
 
 # Exhaustive k-subset enumeration is only viable as a desk-scale oracle.
@@ -204,8 +204,8 @@ def solve_binary_ot(A, y, v, k):
     m, n = A.shape
     if y.size != m or v.size != n:
         raise ValueError(f"incompatible shapes: A is {A.shape}, y has {y.size}, v has {v.size}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
+    if not is_count(k) or not 1 <= k <= n:
+        raise ValueError(f"k={k} must be an integer in 1..{n}")
     if n > BINARY_ENUM_MAX_N:
         raise EnumerationGuardError(
             f"binary selection enumerates C({n},{k}) subsets; refusing n > "
@@ -255,9 +255,9 @@ def least_squares_on_support(A, y, support):
     Otherwise, or when cholesky fails, the solve falls back to
     np.linalg.lstsq, an SVD of A_S (LAPACK gelsd): when A_S is numerically
     rank deficient (singular values below 1e-12 of the largest) the
-    minimum-norm solution is returned and the flag is set.
+    minimum-norm solution is returned.
 
-    Returns (x, rank_deficient).
+    Returns x.
     """
     A = as_matrix(A, "A")
     y = as_vector(y, "y")
@@ -266,7 +266,7 @@ def least_squares_on_support(A, y, support):
         raise ValueError(f"y has length {y.size}, expected {m}")
     idx = np.asarray(support)
     if idx.size == 0:
-        return np.zeros(n), False
+        return np.zeros(n)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError(f"support must be a 1-d integer array, got {idx.dtype} of shape {idx.shape}")
     # checked as a list: cheaper than numpy reductions at the usual sizes
@@ -293,7 +293,6 @@ def least_squares_on_support(A, y, support):
         coef = L_inv.T @ (L_inv @ (As.T @ y))
         coef += L_inv.T @ (L_inv @ (As.T @ (y - As @ coef)))
         x[idx] = coef
-        return x, False
-    coef, _, rank, _ = np.linalg.lstsq(As, y, rcond=1e-12)
-    x[idx] = coef
-    return x, rank < idx.size
+        return x
+    x[idx] = np.linalg.lstsq(As, y, rcond=1e-12)[0]
+    return x

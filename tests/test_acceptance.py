@@ -88,7 +88,7 @@ def test_criterion_3_reduction_equivalence():
         assert len(ours.trace.iterates) - 1 == len(iterates)
         for a, b in zip(ours.trace.iterates[1:], iterates):
             np.testing.assert_allclose(a, b, atol=1e-12)
-        for sa, sb in zip(ours.trace.supports[1:], supports):
+        for sa, sb in zip(map(np.flatnonzero, ours.trace.iterates[1:]), supports):
             assert np.array_equal(sa, sb)
     report(3, "reduction equivalence on 20 seeds")
 
@@ -161,7 +161,7 @@ def test_criterion_6_envelope_dominance():
             noise_norm = noise_eps
         else:
             noise, y, noise_norm = None, A @ truth, 0.0
-        problem = ProblemInstance(A=A, y=y, k=1, truth=truth, noise=noise)
+        problem = ProblemInstance(A=A, y=y, k=1, truth=truth)
         result = run(problem, config_for(
             "hbrotp", alpha=alpha, beta=beta, max_iter=50, residual_tol=0.0))
         errors = np.asarray(result.trace.errors_to_truth)

@@ -51,7 +51,6 @@ class TestGenerateInstance:
     def test_noiseless_consistency_exact(self):
         problem = generate_instance(EnsembleSpec(n=40, kappa=0.6, rho=0.2, seed=5))
         np.testing.assert_array_equal(problem.y, problem.A @ problem.truth)
-        assert problem.noise is None
 
     def test_seed_determinism(self):
         spec = EnsembleSpec(n=48, kappa=0.5, rho=0.15, noise_eps=1e-3, seed=99)
@@ -60,12 +59,11 @@ class TestGenerateInstance:
         np.testing.assert_array_equal(a.A, b.A)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.truth, b.truth)
-        np.testing.assert_array_equal(a.noise, b.noise)
 
     def test_noise_norm_is_eps(self):
         problem = generate_instance(EnsembleSpec(n=40, kappa=0.5, rho=0.2,
                                                  noise_eps=5e-3, seed=1))
-        assert np.isclose(np.linalg.norm(problem.noise), 5e-3)
+        assert np.isclose(np.linalg.norm(problem.y - problem.A @ problem.truth), 5e-3)
 
     def test_truth_sparsity(self):
         spec = EnsembleSpec(n=60, kappa=0.4, rho=0.25, seed=17)
