@@ -17,7 +17,7 @@ import numpy as np
 
 # top_k_indices is not called here, but instrumentation patches this name too
 from .core import (IterateTrace, ProblemInstance, hard_threshold, is_count,
-                   support, top_k_indices)  # noqa: F401
+                   top_k_indices)  # noqa: F401
 from .subproblems import (least_squares_on_support, solve_binary_ot,
                           solve_relaxed_ot)
 
@@ -31,10 +31,10 @@ STAGNATION_RUNS = 3
 OMP_COND_MAX = 1e8
 
 
-def _search_point(A, y, x, x_prev, alpha, beta):
-    """u = x + alpha A^T (y - A x) + beta (x - x_prev) on already-checked
+def _search_point(A, r, x, x_prev, alpha, beta):
+    """u = x + alpha A^T r + beta (x - x_prev), r = y - A x, on already-checked
     inputs; the unit step (alpha=1, beta=0) forms neither weight's term."""
-    g = A.T @ (y - A @ x)
+    g = A.T @ r
     u = x + (g if alpha == 1.0 else alpha * g)
     return u + beta * (x - x_prev) if beta else u
 
@@ -212,6 +212,7 @@ def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
     x_prev = x_curr = np.zeros(problem.n)
     alpha, beta = (cfg.alpha, cfg.beta) if heavy_ball else (1.0, 0.0)
     trace = _start_trace(problem, [x_prev, x_curr] if heavy_ball else [x_curr])
+    r = y - A @ x_curr
 
     a_fro = float(np.linalg.norm(A))  # ||A||_F
     step = 0.0
@@ -235,13 +236,14 @@ def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
         if not math.isfinite(bound * bound):  # Python floats overflow to inf quietly
             reason = "diverged"
             break
-        u = _search_point(A, y, x_curr, x_prev, alpha, beta)
+        u = _search_point(A, r, x_curr, x_prev, alpha, beta)
         candidate, flags = select(A, y, u, k, cfg)
-        x_next = least_squares_on_support(A, y, support(candidate)) if refit else candidate
+        x_next = least_squares_on_support(A, y, np.flatnonzero(candidate)) if refit else candidate
         inner_flags += flags
         iters += 1
 
-        _record(trace, problem, x_next, float(np.linalg.norm(y - A @ x_next)))
+        r = y - A @ x_next
+        _record(trace, problem, x_next, float(np.linalg.norm(r)))
         step = float(np.linalg.norm(x_next - x_curr))
         if step <= STAGNATION_RTOL * (1.0 + x_norm):
             stagnant += 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import ALL_VARIANTS, AlgorithmConfig, config_for, run
+from .algorithms import ALL_VARIANTS, config_for, run
 from .core import ProblemInstance, is_count
 from .errors import EnumerationGuardError
 
@@ -113,7 +113,6 @@ class TrialRecord:
 
     spec: EnsembleSpec
     algorithm: str
-    config: AlgorithmConfig
     success: bool
     iterations: int
     wall_time: float
@@ -147,13 +146,13 @@ def run_trial(spec, algorithm):
         result = run(problem, cfg)
         truth_norm = float(np.linalg.norm(problem.truth))
         rel = float(np.linalg.norm(result.x_final - problem.truth)) / truth_norm
-        record = TrialRecord(spec=spec, algorithm=algorithm, config=cfg,
+        record = TrialRecord(spec=spec, algorithm=algorithm,
                              success=rel <= SUCCESS_REL_TOL,
                              iterations=result.iterations,
                              wall_time=time.perf_counter() - start,
                              rel_error=rel, stop_reason=result.stop_reason)
     except EnumerationGuardError as exc:
-        record = TrialRecord(spec=spec, algorithm=algorithm, config=cfg,
+        record = TrialRecord(spec=spec, algorithm=algorithm,
                              success=False, iterations=0,
                              wall_time=time.perf_counter() - start,
                              rel_error=math.inf, error=f"{type(exc).__name__}: {exc}")

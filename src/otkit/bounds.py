@@ -267,9 +267,9 @@ def l2_bound_g(zeta1, zeta2, r):
     g(j) = zeta1/sqrt(j) + sqrt(j) zeta2/4 decreases up to t0 = floor(4 zeta1/zeta2)
     and increases after; the bound is g(r) below t0 and min(g(t0), g(t0+1)) beyond.
     """
-    if not (zeta1 > zeta2 > 0):
-        raise ValueError("need zeta1 > zeta2 > 0")
-    if r < 2 or int(r) != r:
+    if not (math.isfinite(zeta1) and zeta1 > zeta2 > 0):
+        raise ValueError("need finite zeta1 > zeta2 > 0")
+    if not is_count(r) or r < 2:
         raise ValueError("r must be an integer >= 2")
     t0 = math.floor(4.0 * zeta1 / zeta2)
 
@@ -445,6 +445,8 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
         raise ValueError(f"variant must be 'hbrot' or 'hbrotp', got {variant!r}")
     if not is_count(omega) or omega < 1:
         raise ValueError("omega must be a positive integer")
+    if not is_count(n) or n < 1:
+        raise ValueError("n must be a positive integer")
     k = ric.k
     violations = []
     if not n > 3 * k:
@@ -522,8 +524,6 @@ def parameter_window(ric, omega=1, variant="hbot", n=None):
         bc = hbot_constants(ric, alpha=1.0, beta=0.0)
         beta_max, alpha_interval = _hbot_window(bc.eta, ric.delta_k_sk)
     elif variant in ("hbrot", "hbrotp"):
-        if n is None:
-            raise ValueError("the relaxed variants need the ambient dimension n")
         bc = hbrot_constants(ric, alpha=1.0, beta=0.0, omega=omega, n=n, variant=variant)
         beta_max, alpha_interval = _hbrot_window(
             bc.d0, bc.d1, bc.d2, 1.0 if variant == "hbrot" else bc.z_k)

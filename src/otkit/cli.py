@@ -3,8 +3,8 @@
 Subcommands: gen, recover, grid, ptc, bounds, ric, selftest.  Exit codes are
 a stable scripting contract: 0 success, 2 argument error, 3 window/guard
 failure, 4 I/O failure.  Every run prints its resolved configuration first.
-The base seed resolves as: --seed flag, then the OTK_SEED environment
-variable, then 0.
+The base seed is --seed, default 0, so gen, grid and ptc output is a pure
+function of the flags.
 """
 
 from __future__ import annotations
@@ -32,23 +32,14 @@ EXIT_USAGE = 2
 EXIT_WINDOW = 3
 EXIT_IO = 4
 
-GRID_DEFAULTS = dict(n=256, kappa_min=0.5, kappa_max=0.5, kappa_step=0.05,
-                     rho_min=0.30, rho_max=0.55, rho_step=0.05,
-                     trials=10, algos="hbrotp", eps=0.0)
-
-
-def _resolved_seed(args):
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("OTK_SEED", "0"))
-
-
 def _print_config(name, pairs):
     rendered = ", ".join(f"{k}={v}" for k, v in pairs.items())
     print(f"[{name}] config: {rendered}")
 
 
 def _frange(lo, hi, step):
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"range bounds and step must be finite: {lo}..{hi} by {step}")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
@@ -58,11 +49,10 @@ def _frange(lo, hi, step):
 
 
 def cmd_gen(args):
-    seed = _resolved_seed(args)
     _print_config("gen", dict(n=args.n, kappa=args.kappa, rho=args.rho,
-                              eps=args.eps, seed=seed, out_prefix=args.out_prefix))
+                              eps=args.eps, seed=args.seed, out_prefix=args.out_prefix))
     spec = EnsembleSpec(n=args.n, kappa=args.kappa, rho=args.rho,
-                        noise_eps=args.eps, seed=seed)
+                        noise_eps=args.eps, seed=args.seed)
     problem = generate_instance(spec)
     save_matrix_csv(f"{args.out_prefix}.A.csv", problem.A)
     save_vector_csv(f"{args.out_prefix}.y.csv", problem.y)
@@ -98,16 +88,15 @@ def cmd_recover(args):
 
 
 def _run_grid(args, name):
-    seed = _resolved_seed(args)
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
     rhos = _frange(args.rho_min, args.rho_max, args.rho_step)
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
     _print_config(name, dict(n=args.n, kappas=kappas, rhos=rhos, trials=args.trials,
-                             algos=algorithms, eps=args.eps, seed=seed,
+                             algos=algorithms, eps=args.eps, seed=args.seed,
                              threads=args.threads, timing=args.timing, out=args.out))
     grid = success_grid(n=args.n, kappa_list=kappas, rho_list=rhos,
                         trials_per_cell=args.trials, algorithms=algorithms,
-                        base_seed=seed, noise_eps=args.eps, workers=args.threads)
+                        base_seed=args.seed, noise_eps=args.eps, workers=args.threads)
     with open(args.out, "w") as fh:
         write_trials_csv(fh, grid, include_timing=args.timing)
     print(f"wrote {args.out}")
@@ -136,12 +125,13 @@ def cmd_ptc(args):
 
 
 def cmd_bounds(args):
+    delta_kp1 = args.delta_2k if args.delta_kp1 is None else args.delta_kp1
     _print_config("bounds", dict(delta_k=args.delta_k, delta_2k=args.delta_2k,
-                                 delta_3k=args.delta_3k, delta_kp1=args.delta_kp1,
+                                 delta_3k=args.delta_3k, delta_kp1=delta_kp1,
                                  alpha=args.alpha, beta=args.beta, omega=args.omega,
                                  n=args.n, k=args.k, variant=args.variant))
     ric = RICProfile(k=args.k, delta_k=args.delta_k, delta_2k=args.delta_2k,
-                     delta_3k=args.delta_3k, delta_kp1=args.delta_kp1)
+                     delta_3k=args.delta_3k, delta_kp1=delta_kp1)
     print(f"gamma* = {gamma_star():.6f}, gamma*({args.omega}) = "
           f"{gamma_star_omega(args.omega):.6f}, gamma#({args.omega}) = "
           f"{gamma_sharp_omega(args.omega):.6f}")
@@ -179,8 +169,8 @@ def cmd_ric(args):
 
 
 def cmd_selftest(args):
-    _print_config("selftest", dict(seed=args.selftest_seed))
-    results = run_all(args.selftest_seed)
+    _print_config("selftest", dict(seed=args.seed))
+    results = run_all(args.seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -197,11 +187,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded Gaussian instance")
-    p.add_argument("--n", type=int, default=GRID_DEFAULTS["n"])
+    p.add_argument("--n", type=int, default=256)
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", default="instance")
     p.set_defaults(func=cmd_gen)
 
@@ -221,17 +211,17 @@ def build_parser():
 
     for name, handler in (("grid", cmd_grid), ("ptc", cmd_ptc)):
         p = sub.add_parser(name, help="success-rate grid over (kappa, rho)")
-        p.add_argument("--n", type=int, default=GRID_DEFAULTS["n"])
-        p.add_argument("--kappa-min", type=float, default=GRID_DEFAULTS["kappa_min"])
-        p.add_argument("--kappa-max", type=float, default=GRID_DEFAULTS["kappa_max"])
-        p.add_argument("--kappa-step", type=float, default=GRID_DEFAULTS["kappa_step"])
-        p.add_argument("--rho-min", type=float, default=GRID_DEFAULTS["rho_min"])
-        p.add_argument("--rho-max", type=float, default=GRID_DEFAULTS["rho_max"])
-        p.add_argument("--rho-step", type=float, default=GRID_DEFAULTS["rho_step"])
-        p.add_argument("--trials", type=int, default=GRID_DEFAULTS["trials"])
-        p.add_argument("--algos", default=GRID_DEFAULTS["algos"])
-        p.add_argument("--eps", type=float, default=GRID_DEFAULTS["eps"])
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--n", type=int, default=256)
+        p.add_argument("--kappa-min", type=float, default=0.5)
+        p.add_argument("--kappa-max", type=float, default=0.5)
+        p.add_argument("--kappa-step", type=float, default=0.05)
+        p.add_argument("--rho-min", type=float, default=0.30)
+        p.add_argument("--rho-max", type=float, default=0.55)
+        p.add_argument("--rho-step", type=float, default=0.05)
+        p.add_argument("--trials", type=int, default=10)
+        p.add_argument("--algos", default=AlgorithmConfig.variant)
+        p.add_argument("--eps", type=float, default=0.0)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--timing", action="store_true",
                        help="record real wall times (breaks byte-reproducibility)")
@@ -260,7 +250,7 @@ def build_parser():
     p.set_defaults(func=cmd_ric)
 
     p = sub.add_parser("selftest", help="run the oracle-backed invariant battery")
-    p.add_argument("--seed", type=int, default=20240801, dest="selftest_seed")
+    p.add_argument("--seed", type=int, default=20240801)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -269,8 +259,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "delta_kp1", None) is None and args.command == "bounds":
-        args.delta_kp1 = args.delta_2k
     try:
         return args.func(args)
     except (EnumerationGuardError, ParameterWindowError) as exc:

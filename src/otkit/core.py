@@ -65,11 +65,6 @@ def hard_threshold(v, k):
     return out
 
 
-def support(v):
-    """Sorted indices of the nonzero entries of v."""
-    return np.flatnonzero(np.asarray(v))
-
-
 # one certification pass asks for about 65 (n, k) pairs
 @lru_cache(maxsize=256)
 def _binomial_table(n, k):
@@ -141,10 +136,6 @@ class ProblemInstance:
             if truth.size != n:
                 raise ValueError(f"truth has length {truth.size}, expected {n}")
             object.__setattr__(self, "truth", truth)
-
-    @property
-    def m(self):
-        return self.A.shape[0]
 
     @property
     def n(self):

@@ -14,11 +14,8 @@ def gaussian_instance(rng, m, n, k, noise_eps=0.0):
     supp = np.sort(rng.choice(n, size=k, replace=False))
     truth = np.zeros(n)
     truth[supp] = rng.standard_normal(k)
+    y = A @ truth
     if noise_eps > 0:
         h = rng.standard_normal(m)
-        noise = noise_eps * h / np.linalg.norm(h)
-        y = A @ truth + noise
-    else:
-        noise = None
-        y = A @ truth
-    return A, y, truth, noise
+        y = y + noise_eps * h / np.linalg.norm(h)
+    return A, y, truth

@@ -34,26 +34,26 @@ class TestHeavyBallPoint:
         r = np.array([y[i] - sum(A[i, j] * x[j] for j in range(9)) for i in range(5)])
         grad = np.array([sum(A[i, j] * r[i] for i in range(5)) for j in range(9)])
         expected = x + alpha * grad + beta * (x - x_prev)
-        got = _search_point(A, y, x, x_prev, alpha, beta)
+        got = _search_point(A, y - A @ x, x, x_prev, alpha, beta)
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_zero_beta_is_gradient_step(self, rng):
         A = rng.normal(0, 1, (4, 7))
         y = rng.normal(0, 1, 4)
         x = rng.normal(0, 1, 7)
-        got = _search_point(A, y, x, rng.normal(0, 1, 7), 1.0, 0.0)
+        got = _search_point(A, y - A @ x, x, rng.normal(0, 1, 7), 1.0, 0.0)
         np.testing.assert_array_equal(got, x + A.T @ (y - A @ x))
 
     def test_fixed_point_at_truth(self, rng):
-        A, y, truth, _ = gaussian_instance(rng, 6, 10, 2)
-        got = _search_point(A, y, truth, truth, 1.0, 0.5)
+        A, y, truth = gaussian_instance(rng, 6, 10, 2)
+        got = _search_point(A, y - A @ truth, truth, truth, 1.0, 0.5)
         np.testing.assert_allclose(got, truth, atol=1e-14)
 
     def test_first_step_from_zero(self, rng):
         A = rng.normal(0, 1, (4, 7))
         y = rng.normal(0, 1, 4)
         z = np.zeros(7)
-        got = _search_point(A, y, z, z, 2.5, 0.4)
+        got = _search_point(A, y - A @ z, z, z, 2.5, 0.4)
         np.testing.assert_array_equal(got, 2.5 * (A.T @ y))
 
 
@@ -87,7 +87,7 @@ class TestExactSelectionVariants:
         assert np.all(errors[2:] <= envelope + 1e-12)
 
     def test_enumeration_guard_propagates(self, rng):
-        A, y, truth, _ = gaussian_instance(rng, 16, 31, 2)
+        A, y, truth = gaussian_instance(rng, 16, 31, 2)
         problem = ProblemInstance(A=A, y=y, k=2, truth=truth)
         with pytest.raises(EnumerationGuardError):
             run(problem, config_for("hbot", alpha=1.0, beta=0.0))
@@ -98,7 +98,7 @@ class TestRelaxedVariants:
         # alpha=1, beta=0, omega=1 must replay a directly-coded one-point loop
         for seed in range(5):
             local = np.random.default_rng(900 + seed)
-            A, y, truth, _ = gaussian_instance(local, 32, 64, 5)
+            A, y, truth = gaussian_instance(local, 32, 64, 5)
             problem = ProblemInstance(A=A, y=y, k=5, truth=truth)
             cfg = config_for("hbrotp", alpha=1.0, beta=0.0, omega=1, max_iter=25,
                              residual_tol=1e-10)
@@ -127,7 +127,7 @@ class TestRelaxedVariants:
         # same replay with omega=2: two relaxed selections per iteration
         for seed in (17, 18):
             local = np.random.default_rng(seed)
-            A, y, truth, _ = gaussian_instance(local, 24, 48, 4)
+            A, y, truth = gaussian_instance(local, 24, 48, 4)
             problem = ProblemInstance(A=A, y=y, k=4, truth=truth)
             cfg = config_for("hbrotp", alpha=1.0, beta=0.0, omega=2, max_iter=15,
                              residual_tol=1e-10)
@@ -163,14 +163,14 @@ class TestRelaxedVariants:
 
     def test_benchmark_operating_point_recovers(self):
         local = np.random.default_rng(7)
-        A, y, truth, _ = gaussian_instance(local, 128, 256, 12)
+        A, y, truth = gaussian_instance(local, 128, 256, 12)
         problem = ProblemInstance(A=A, y=y, k=12, truth=truth)
         result = run(problem, config_for("hbrotp", alpha=5.0, beta=0.2))
         rel = np.linalg.norm(result.x_final - truth) / np.linalg.norm(truth)
         assert rel <= 1e-3
 
     def test_omega_two_compressions(self, rng):
-        A, y, truth, _ = gaussian_instance(rng, 24, 48, 4)
+        A, y, truth = gaussian_instance(rng, 24, 48, 4)
         problem = ProblemInstance(A=A, y=y, k=4, truth=truth)
         result = run(problem, config_for("hbrot", alpha=1.0, beta=0.1,
                                          omega=2, max_iter=40))
@@ -182,7 +182,7 @@ class TestSharedBehaviour:
                                          "iht", "htp", "omp"])
     def test_iterates_stay_k_sparse(self, variant, rng):
         local = np.random.default_rng(42)
-        A, y, truth, _ = gaussian_instance(local, 12, 20, 3)
+        A, y, truth = gaussian_instance(local, 12, 20, 3)
         problem = ProblemInstance(A=A, y=y, k=3, truth=truth)
         result = run(problem, config_for(variant, alpha=1.0, beta=0.1, max_iter=15))
         for x in result.trace.iterates:
@@ -196,7 +196,7 @@ class TestSharedBehaviour:
     @pytest.mark.parametrize("variant", ["hbotp", "hbrotp"])
     def test_refit_never_hurts_residual(self, variant, monkeypatch):
         local = np.random.default_rng(5)
-        A, y, truth, _ = gaussian_instance(local, 14, 24, 3)
+        A, y, truth = gaussian_instance(local, 14, 24, 3)
         problem = ProblemInstance(A=A, y=y, k=3, truth=truth)
         select, *rest = algorithms._VARIANTS[variant]
         cand = []
@@ -218,7 +218,7 @@ class TestSharedBehaviour:
         # noise keeps the residual away from 0, so the run must detect the
         # numerical fixed point instead of burning the whole budget
         local = np.random.default_rng(2)
-        A, y, truth, _ = gaussian_instance(local, 20, 30, 2, noise_eps=0.1)
+        A, y, truth = gaussian_instance(local, 20, 30, 2, noise_eps=0.1)
         problem = ProblemInstance(A=A, y=y, k=2, truth=truth)
         cfg = config_for("htp", max_iter=200, residual_tol=0.0)
         result = run(problem, cfg)
@@ -280,7 +280,7 @@ class TestBaselines:
         np.testing.assert_allclose(result.x_final, problem.truth, atol=1e-12)
 
     def test_omp_max_correlation_first(self, rng):
-        A, _, _, _ = gaussian_instance(rng, 10, 20, 1)
+        A, _, _ = gaussian_instance(rng, 10, 20, 1)
         j = 13
         problem = ProblemInstance(A=A, y=A[:, j].copy(), k=1)
         result = run(problem, config_for("omp"))
@@ -304,7 +304,7 @@ class TestBaselines:
     @pytest.mark.parametrize("variant", ["iht", "htp"])
     def test_unit_step_ignores_alpha_beta(self, variant):
         local = np.random.default_rng(6)
-        A, y, truth, _ = gaussian_instance(local, 32, 64, 6)
+        A, y, truth = gaussian_instance(local, 32, 64, 6)
         problem = ProblemInstance(A=A, y=y, k=6, truth=truth)
         plain = run(problem, config_for(variant, alpha=1.0, beta=0.0, max_iter=20))
         weighted = run(problem, config_for(variant, alpha=5.0, beta=0.2, max_iter=20))
@@ -316,7 +316,7 @@ class TestBaselines:
 
     def test_htp_matches_direct_recursion(self):
         local = np.random.default_rng(3)
-        A, y, truth, _ = gaussian_instance(local, 64, 128, 5)
+        A, y, truth = gaussian_instance(local, 64, 128, 5)
         problem = ProblemInstance(A=A, y=y, k=5, truth=truth)
         result = run(problem, config_for("htp", max_iter=30))
         rel = np.linalg.norm(result.x_final - truth) / np.linalg.norm(truth)
@@ -425,7 +425,7 @@ class TestInnerSolveLookup:
 
         monkeypatch.setattr(algorithms, name, counting)
         local = np.random.default_rng(42)
-        A, y, truth, _ = gaussian_instance(local, 12, 20, 3)
+        A, y, truth = gaussian_instance(local, 12, 20, 3)
         problem = ProblemInstance(A=A, y=y, k=3, truth=truth)
         result = run(problem, config_for(variant, alpha=1.0, beta=0.1, max_iter=5,
                                          residual_tol=0.0))

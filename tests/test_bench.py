@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import otkit.bench
-from otkit.algorithms import config_for
+from otkit.algorithms import config_for, run
 from otkit.bench import (EnsembleSpec, equiangular_frame, generate_instance,
                          run_trial, success_grid, transition_curve,
                          transition_point, trial_seed, write_transition_csv,
@@ -139,10 +139,17 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="not a guard refusal"):
             run_trial(spec, "iht")
 
-    def test_noise_scales_residual_tol(self):
+    def test_noise_scales_residual_tol(self, monkeypatch):
+        tols = []
+
+        def spy(problem, cfg):
+            tols.append(cfg.residual_tol)
+            return run(problem, cfg)
+
+        monkeypatch.setattr(otkit.bench, "run", spy)
         spec = EnsembleSpec(n=64, kappa=0.75, rho=0.1, noise_eps=5e-3, seed=8)
         record = run_trial(spec, "hbrotp")
-        assert record.config.residual_tol == 5e-3
+        assert tols == [5e-3]
         assert record.success
 
 

@@ -117,6 +117,13 @@ class TestL2Bound:
             l2_bound_g(1.0, 2.0, 5)
         with pytest.raises(ValueError):
             l2_bound_g(2.0, 1.0, 1)
+        for r in (2.0, 12.0, math.inf, True):
+            with pytest.raises(ValueError, match="r must be an integer"):
+                l2_bound_g(2.0, 1.0, r)
+        for zeta1, zeta2 in ((math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="zeta1"):
+                l2_bound_g(zeta1, zeta2, 5)
+        assert l2_bound_g(2.0, 1.0, np.int64(12)) == l2_bound_g(2.0, 1.0, 12)
 
 
 class TestGeometricEnvelope:
@@ -425,6 +432,18 @@ class TestHbrotConstants:
         bc = hbrot_constants(zero_ric(2), alpha=1.0, beta=0.0, omega=np.int64(2), n=20,
                              variant="hbrot")
         assert bc.window_ok
+
+    def test_n_must_be_a_positive_integer(self):
+        for n in (None, 40.5, 40.0, math.inf, True, 0):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                hbrot_constants(zero_ric(2), alpha=1.0, beta=0.0, omega=1, n=n,
+                                variant="hbrot")
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                parameter_window(zero_ric(2), omega=1, variant="hbrotp", n=n)
+        bc = hbrot_constants(zero_ric(2), alpha=1.0, beta=0.0, omega=1, n=np.int64(20),
+                             variant="hbrot")
+        assert bc.sigma == 8  # ceil((n - 2k) / k)
+        assert parameter_window(zero_ric(2), variant="hbrotp", n=np.int64(20))[0] > 0
 
     def test_needs_room_above_three_k(self):
         with pytest.raises(ParameterWindowError, match="3k"):

@@ -41,15 +41,16 @@ class TestGen:
         for suffix in (".A.csv", ".y.csv", ".truth.csv"):
             assert open(p1 + suffix).read() == open(p2 + suffix).read()
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OTK_SEED", "21")
-        p1 = str(tmp_path / "env")
+        p1 = str(tmp_path / "default")
         run_cli("gen", "--n", "16", "--kappa", "0.5", "--rho", "0.2",
                 "--out-prefix", p1)
-        p2 = str(tmp_path / "flag")
+        p2 = str(tmp_path / "zero")
         run_cli("gen", "--n", "16", "--kappa", "0.5", "--rho", "0.2",
-                "--seed", "21", "--out-prefix", p2)
-        assert open(p1 + ".A.csv").read() == open(p2 + ".A.csv").read()
+                "--seed", "0", "--out-prefix", p2)
+        for suffix in (".A.csv", ".y.csv", ".truth.csv"):
+            assert open(p1 + suffix, "rb").read() == open(p2 + suffix, "rb").read()
 
 
 class TestRecover:
@@ -153,6 +154,17 @@ class TestGrid:
         code = run_cli("grid", "--kappa-min", "0.5", "--kappa-max", "0.4",
                        "--out", str(tmp_path / "g.csv"))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--kappa-min", "--kappa-max", "--kappa-step",
+                                      "--rho-min", "--rho-max", "--rho-step"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_range_rejected(self, tmp_path, flag, value):
+        out = tmp_path / "g.csv"
+        # --flag=-inf: argparse reads a bare -inf as an option
+        code = run_cli("grid", "--n", "16", "--trials", "1", "--algos", "iht",
+                       f"{flag}={value}", "--threads", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
     def test_nan_noise_rejected(self, tmp_path):
         out = tmp_path / "g.csv"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import otkit.core
 from otkit.core import (ProblemInstance, hard_threshold, load_matrix_csv,
                         load_vector_csv, save_matrix_csv, save_vector_csv,
-                        subset_blocks, support, top_k_indices)
+                        subset_blocks, top_k_indices)
 
 
 class TestTopK:
@@ -123,10 +123,6 @@ class TestCsvRoundTrip:
         path.write_text("2,3\n1.0,2.0,3.0\n1.0,2.0\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3"):
             load_matrix_csv(path)
-
-
-def test_support_sorted():
-    assert list(support(np.array([0.0, 3.0, 0.0, -1.0]))) == [1, 3]
 
 
 def combination_blocks(n, k, size):

@@ -182,7 +182,7 @@ class TestRelaxedOT:
         m, n, k = 32, 64, 5
         flags = []
         for seed in range(20):
-            A, y, truth, _ = gaussian_instance(np.random.default_rng(300 + seed), m, n, k)
+            A, y, truth = gaussian_instance(np.random.default_rng(300 + seed), m, n, k)
             v = 5.0 * (A.T @ y)  # the default heavy-ball step from zero
             w, converged = solve_relaxed_ot(A, y, v, k)
             w_ref, converged_ref = two_product_relaxed_ot(A, y, v, k)
@@ -381,7 +381,7 @@ class TestLeastSquares:
         np.testing.assert_allclose(x, [1.0, 0.0, 3.0], atol=1e-14)
 
     def test_exact_interpolation_on_true_support(self, rng):
-        A, y, truth, _ = gaussian_instance(rng, 8, 12, 3)
+        A, y, truth = gaussian_instance(rng, 8, 12, 3)
         x = least_squares_on_support(A, y, np.flatnonzero(truth))
         np.testing.assert_allclose(x, truth, atol=1e-10)
 
