@@ -88,8 +88,8 @@ def equiangular_frame(n, rng=None):
     closed-form constants.  An optional rng applies a random row rotation
     (the column Gram, hence every constant, is unchanged).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not is_count(n) or n < 2:
+        raise ValueError("n must be an integer >= 2")
     M = np.eye(n) - np.ones((n, n)) / n
     vals, vecs = np.linalg.eigh(M)
     B = (vecs[:, 1:] * np.sqrt(vals[1:])).T  # (n-1) x n with Gram = M
@@ -194,12 +194,13 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
                  base_seed=0, noise_eps=0.0, workers=1):
     """Success rates per (algorithm, kappa, rho) cell, every trial run by
     run_trial.  Trials are independent, so workers > 1 distributes them over a
-    process pool; records are keyed and sorted, making the result identical
-    whatever the execution order.
+    process pool.  Records come back in task order, which is (algorithm name,
+    kappa index, rho index, trial index) whatever the worker count; they are
+    not sorted afterwards.  GridResult.algorithms keeps the caller's order.
 
     The whole request is checked before any trial runs: a ValueError names an
-    empty axis, the first algorithm not in ALL_VARIANTS, or a trial or worker
-    count that is not a positive integer.
+    empty axis, the first algorithm not in ALL_VARIANTS or repeated, or a
+    trial or worker count that is not a positive integer.
     """
     kappa_list = list(kappa_list)
     rho_list = list(rho_list)
@@ -209,13 +210,15 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
     for algorithm in algorithms:
         if algorithm not in ALL_VARIANTS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        if algorithms.count(algorithm) > 1:
+            raise ValueError(f"algorithm {algorithm!r} repeated")
     if not is_count(trials_per_cell) or trials_per_cell < 1:
         raise ValueError("trials_per_cell must be a positive integer")
     if not is_count(workers) or workers < 1:
         raise ValueError("workers must be a positive integer")
 
     tasks = []
-    for algorithm in algorithms:
+    for algorithm in sorted(algorithms):
         for ki, kappa in enumerate(kappa_list):
             for ri, rho in enumerate(rho_list):
                 for ti in range(trials_per_cell):
@@ -228,7 +231,6 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
             records = list(pool.map(_grid_task, tasks, chunksize=4))
     else:
         records = [_grid_task(t) for t in tasks]
-    records.sort(key=lambda r: (r.algorithm, r.kappa_index, r.rho_index, r.trial_index))
     return GridResult(n=n, base_seed=base_seed, kappa_list=kappa_list,
                       rho_list=rho_list, algorithms=algorithms, records=records)
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -218,7 +217,6 @@ def _bisect_increasing(f):
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=None)
 def gamma_star():
     """Unique root in (0,1) of 5 g^3 + 5 g^2 + 3 g - 1 = 0 (about 0.2274).
 
@@ -231,7 +229,6 @@ def _growth(omega, g):
     return (2 * omega + 1) * g * math.sqrt((1 + g) / (1 - g)) + g
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a cached 1 must not answer for 1.0
 def gamma_star_omega(omega):
     """Root of (2w+1) g sqrt((1+g)/(1-g)) + g = 1: delta_3k ceiling for the
     relaxed variant with w compressions (about 0.2118 at w=1)."""
@@ -240,7 +237,6 @@ def gamma_star_omega(omega):
     return _bisect_increasing(lambda g: _growth(omega, g) - 1.0)
 
 
-@lru_cache(maxsize=None, typed=True)
 def gamma_sharp_omega(omega):
     """delta_3k ceiling for the relaxed pursuit variant: root of the same
     growth function divided by sqrt(1-g^2) (about 0.2079 at w=1)."""
@@ -288,8 +284,8 @@ def geometric_envelope(a0, a1, b1, b2, b3, p):
     theta = (b1 + sqrt(b1^2 + 4 b2))/2, valid for p >= 1 whenever b1 + b2 < 1
     (at p = 1 it is at least a1).  p may be an int or an array of ints.
     """
-    if b1 < 0 or b2 < 0 or b3 < 0:
-        raise ValueError("b1, b2, b3 must be nonnegative")
+    if not all(0 <= b < math.inf for b in (b1, b2, b3)):
+        raise ValueError("b1, b2, b3 must be finite and nonnegative")
     if b1 + b2 >= 1:
         raise ParameterWindowError(f"b1+b2={b1 + b2} >= 1: no contraction")
     p_arr = np.asarray(p)
@@ -314,11 +310,8 @@ class BoundConstants:
     """
 
     variant: str
-    alpha: float
     beta: float
     ric: RICProfile
-    s_k: int
-    omega: int | None = None
     eta: float | None = None
     b: float | None = None
     theta: float | None = None
@@ -424,7 +417,7 @@ def hbot_constants(ric, alpha, beta, check=True):
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(variant="hbot", alpha=alpha, beta=beta, ric=ric, s_k=s_of_k(ric.k),
+    return BoundConstants(variant="hbot", beta=beta, ric=ric,
                           window_ok=not violations, violations=tuple(violations), **fields)
 
 
@@ -443,8 +436,6 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     _validated(alpha, beta)
     if variant not in ("hbrot", "hbrotp"):
         raise ValueError(f"variant must be 'hbrot' or 'hbrotp', got {variant!r}")
-    if not is_count(omega) or omega < 1:
-        raise ValueError("omega must be a positive integer")
     if not is_count(n) or n < 1:
         raise ValueError("n must be a positive integer")
     k = ric.k
@@ -501,9 +492,8 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(variant=variant, alpha=alpha, beta=beta, ric=ric, s_k=s_of_k(k),
-                          omega=omega, sigma=sigma, xi_sigma=xs, window_ok=not violations,
-                          violations=tuple(violations), **fields)
+    return BoundConstants(variant=variant, beta=beta, ric=ric, sigma=sigma, xi_sigma=xs,
+                          window_ok=not violations, violations=tuple(violations), **fields)
 
 
 def parameter_window(ric, omega=1, variant="hbot", n=None):

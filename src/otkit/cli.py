@@ -21,7 +21,7 @@ from .bench import (EnsembleSpec, generate_instance, success_grid,
                     transition_curve, write_transition_csv, write_trials_csv)
 from .bounds import (RICProfile, gamma_sharp_omega, gamma_star,
                      gamma_star_omega, hbot_constants, hbrot_constants,
-                     ric_exact)
+                     ric_exact, s_of_k)
 from .core import (ProblemInstance, load_matrix_csv, load_vector_csv,
                    save_matrix_csv, save_vector_csv)
 from .errors import EnumerationGuardError, ParameterWindowError
@@ -87,13 +87,16 @@ def cmd_recover(args):
     return EXIT_OK
 
 
-def _run_grid(args, name):
+def cmd_grid(args):
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
     rhos = _frange(args.rho_min, args.rho_max, args.rho_step)
+    if args.command == "ptc" and len(rhos) < 2:
+        raise ValueError(f"ptc needs at least two rho values, got {rhos}")
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
-    _print_config(name, dict(n=args.n, kappas=kappas, rhos=rhos, trials=args.trials,
-                             algos=algorithms, eps=args.eps, seed=args.seed,
-                             threads=args.threads, timing=args.timing, out=args.out))
+    _print_config(args.command, dict(n=args.n, kappas=kappas, rhos=rhos,
+                                     trials=args.trials, algos=algorithms, eps=args.eps,
+                                     seed=args.seed, threads=args.threads,
+                                     timing=args.timing, out=args.out))
     grid = success_grid(n=args.n, kappa_list=kappas, rho_list=rhos,
                         trials_per_cell=args.trials, algorithms=algorithms,
                         base_seed=args.seed, noise_eps=args.eps, workers=args.threads)
@@ -104,23 +107,15 @@ def _run_grid(args, name):
         for kappa, row in zip(kappas, grid.rates(algorithm)):
             rates = " ".join(f"{rate:.2f}" for rate in row)
             print(f"{algorithm} kappa={kappa}: rates [{rates}]")
-    return grid
-
-
-def cmd_grid(args):
-    _run_grid(args, "grid")
-    return EXIT_OK
-
-
-def cmd_ptc(args):
-    grid = _run_grid(args, "ptc")
-    with open(args.transitions_out, "w") as fh:
-        write_transition_csv(fh, grid)
-    print(f"wrote {args.transitions_out}")
-    for algorithm in grid.algorithms:
-        for kappa, rho50, extrapolated in transition_curve(grid, algorithm):
-            print(f"{algorithm} kappa={kappa}: rho50={rho50:.3f}{'*' if extrapolated else ''}")
-    print("(* = no 50% crossing inside the grid; boundary reported)")
+    if args.command == "ptc":
+        with open(args.transitions_out, "w") as fh:
+            write_transition_csv(fh, grid)
+        print(f"wrote {args.transitions_out}")
+        for algorithm in algorithms:
+            for kappa, rho50, extrapolated in transition_curve(grid, algorithm):
+                mark = "*" if extrapolated else ""
+                print(f"{algorithm} kappa={kappa}: rho50={rho50:.3f}{mark}")
+        print("(* = no 50% crossing inside the grid; boundary reported)")
     return EXIT_OK
 
 
@@ -140,7 +135,7 @@ def cmd_bounds(args):
         for field in ("eta", "b", "theta", "C2"):
             value = getattr(bc, field)
             print(f"{field} = {value:.10g}" if value is not None else f"{field} = n/a")
-        print(f"s(k) = {bc.s_k}")
+        print(f"s(k) = {s_of_k(ric.k)}")
     else:
         if args.n is None:
             raise ValueError("--n is required for the relaxed variants")
@@ -209,7 +204,7 @@ def build_parser():
     p.add_argument("--out", default="x.csv")
     p.set_defaults(func=cmd_recover)
 
-    for name, handler in (("grid", cmd_grid), ("ptc", cmd_ptc)):
+    for name in ("grid", "ptc"):
         p = sub.add_parser(name, help="success-rate grid over (kappa, rho)")
         p.add_argument("--n", type=int, default=256)
         p.add_argument("--kappa-min", type=float, default=0.5)
@@ -228,7 +223,7 @@ def build_parser():
         p.add_argument("--out", default="trials.csv")
         if name == "ptc":
             p.add_argument("--transitions-out", default="transitions.csv")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("bounds", help="bound constants and window verdict")
     p.add_argument("--delta-k", type=float, required=True)

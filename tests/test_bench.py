@@ -88,6 +88,12 @@ class TestEquiangularFrame:
         assert not np.allclose(A, B)
         np.testing.assert_allclose(A.T @ A, B.T @ B, atol=1e-12)
 
+    def test_n_must_be_an_integer_at_least_two(self):
+        for n in (5.0, 2.5, True, 1, 0, None):
+            with pytest.raises(ValueError, match="n must be an integer >= 2"):
+                equiangular_frame(n)
+        assert equiangular_frame(np.int64(5)).shape == (4, 5)
+
 
 class TestTrialSeed:
     def test_deterministic_and_distinct(self):
@@ -220,6 +226,17 @@ class TestSuccessGrid:
         assert outputs[0] == outputs[1]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_in_task_order_for_unsorted_names(self, workers):
+        grid = success_grid(n=16, kappa_list=[0.75, 1.0], rho_list=[0.1, 0.2],
+                            trials_per_cell=2, algorithms=["omp", "htp"],
+                            base_seed=4, workers=workers)
+        keys = [(r.algorithm, r.kappa_index, r.rho_index, r.trial_index)
+                for r in grid.records]
+        assert keys == [(a, ki, ri, ti) for a in ("htp", "omp") for ki in range(2)
+                        for ri in range(2) for ti in range(2)]
+        assert grid.algorithms == ["omp", "htp"]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             success_grid(n=24, kappa_list=[], rho_list=[0.1], trials_per_cell=1,
@@ -227,12 +244,13 @@ class TestSuccessGrid:
 
     @pytest.mark.parametrize("bad, message", [
         (dict(algorithms=["iht", "bogus"]), "unknown algorithm 'bogus'"),
+        (dict(algorithms=["iht", "iht"]), "repeated"),
         (dict(trials_per_cell=1.5), "trials_per_cell must be a positive integer"),
         (dict(workers=0), "workers must be a positive integer"),
         (dict(noise_eps=math.nan), "noise_eps must be finite"),
         (dict(noise_eps=math.inf), "noise_eps must be finite"),
-    ], ids=["unknown-algorithm", "fractional-trials", "zero-workers", "nan-noise",
-            "infinite-noise"])
+    ], ids=["unknown-algorithm", "repeated-algorithm", "fractional-trials", "zero-workers",
+            "nan-noise", "infinite-noise"])
     def test_bad_request_rejected_before_any_trial(self, monkeypatch, bad, message):
         trials = []
 

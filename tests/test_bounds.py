@@ -46,7 +46,7 @@ class TestRoots:
 
     @pytest.mark.parametrize("root", [gamma_star_omega, gamma_sharp_omega])
     def test_omega_must_be_an_integer(self, root):
-        value = root(1)  # cached: an equal float must still be refused
+        value = root(1)
         for omega in (1.0, 1.5, True):
             with pytest.raises(ValueError, match="omega must be a positive integer"):
                 root(omega)
@@ -161,6 +161,14 @@ class TestGeometricEnvelope:
             geometric_envelope(2.0, 1.5, 0.6, 0.2, 0.1, 0)
         with pytest.raises(ValueError, match="p >= 1"):
             geometric_envelope(2.0, 1.5, 0.6, 0.2, 0.1, np.arange(0, 3))
+
+    @pytest.mark.parametrize("b1, b2, b3", [
+        (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan),
+        (0.0, 0.0, math.inf), (-0.1, 0.0, 0.0), (0.0, -0.1, 0.0), (0.0, 0.0, -0.1),
+    ])
+    def test_coefficients_must_be_finite_and_nonnegative(self, b1, b2, b3):
+        with pytest.raises(ValueError, match="b1, b2, b3 must be finite and nonnegative"):
+            geometric_envelope(0.0, 1.0, b1, b2, b3, 5)
 
 
 def ric_oracle(A, order):
@@ -604,6 +612,13 @@ class TestParameterWindow:
 
 
 class TestEnvelopeDispatch:
+    @pytest.mark.parametrize("noise_norm", [math.nan, math.inf, -0.1])
+    def test_bad_noise_norm_rejected(self, noise_norm):
+        # noise_norm only scales b3, so a nan must be refused, not enveloped
+        bc = hbot_constants(zero_ric(2), alpha=1.5, beta=0.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            convergence_envelope(bc, a0=1.0, a1=1.0, noise_norm=noise_norm, p=3)
+
     def test_exact_selection_envelope_formula(self):
         bc = hbot_constants(zero_ric(2), alpha=1.5, beta=0.0)
         # theta = 0.5, so the transient halves each step and the tail is C2*nu

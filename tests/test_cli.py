@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import otkit.cli
 from otkit.bench import EnsembleSpec, generate_instance
 from otkit.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_WINDOW,
                        build_parser, main)
@@ -178,6 +179,14 @@ class TestGrid:
                        "--out", str(tmp_path / "g.csv"))
         assert code == EXIT_USAGE
 
+    def test_repeated_algorithm_rejected(self, tmp_path):
+        out = tmp_path / "g.csv"
+        code = run_cli("grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
+                       "--rho-step", "0.1", "--trials", "1", "--algos", "htp,htp",
+                       "--threads", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_ptc_writes_transitions(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         trans = tmp_path / "ptc.csv"
@@ -198,6 +207,30 @@ class TestGrid:
             expected.append(f"{algorithm} kappa={kappa}: rho50={float(rho50):.3f}")
         assert printed == expected
         assert len(printed) == 2
+
+
+class TestPtc:
+    def test_single_rho_rejected_before_any_trial(self, tmp_path, monkeypatch):
+        grids = []
+        monkeypatch.setattr(otkit.cli, "success_grid",
+                            lambda **kwargs: grids.append(kwargs))
+        out = tmp_path / "t.csv"
+        trans = tmp_path / "ptc.csv"
+        code = run_cli("ptc", "--n", "16", "--rho-min", "0.3", "--rho-max", "0.3",
+                       "--trials", "1", "--algos", "htp", "--threads", "1",
+                       "--out", str(out), "--transitions-out", str(trans))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert not trans.exists()
+        assert grids == []
+
+    def test_grid_accepts_one_rho_value(self, tmp_path):
+        out = tmp_path / "g.csv"
+        code = run_cli("grid", "--n", "16", "--rho-min", "0.3", "--rho-max", "0.3",
+                       "--trials", "1", "--algos", "htp", "--threads", "1",
+                       "--out", str(out))
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2  # meta line and one trial
 
 
 class TestBounds:
