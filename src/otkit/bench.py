@@ -20,7 +20,6 @@ import numpy as np
 
 from .algorithms import ALL_VARIANTS, config_for, run
 from .core import ProblemInstance, is_count
-from .errors import EnumerationGuardError
 
 GENERATOR_NAME = "pcg64"
 SUCCESS_REL_TOL = 1e-3  # a trial succeeds iff ||x - truth|| / ||truth|| <= this
@@ -117,11 +116,10 @@ class TrialRecord:
     iterations: int
     wall_time: float
     rel_error: float
+    stop_reason: str
     kappa_index: int = 0
     rho_index: int = 0
     trial_index: int = 0
-    error: str | None = None
-    stop_reason: str | None = None
 
 
 # The operating point, under the name the benchmark scripts look up.
@@ -131,32 +129,22 @@ default_config = config_for
 def run_trial(spec, algorithm):
     """Generate the instance, run config_for(algorithm) on it, score the recovery.
 
-    Guard refusals (exact selection beyond its enumeration limit) are
-    recorded as failed trials with the error's class name and message and no
-    stop reason rather than raised; every other exception propagates.  Under
-    noise the residual tolerance is raised to the noise level, since no
-    iterate can be expected to fit y closer than ||noise||.
+    Every exception propagates, guard refusals included.  Under noise the
+    residual tolerance is raised to the noise level, since no iterate can be
+    expected to fit y closer than ||noise||.
     """
     cfg = config_for(algorithm)
     if spec.noise_eps > 0 and cfg.residual_tol < spec.noise_eps:
         cfg = replace(cfg, residual_tol=spec.noise_eps)
     start = time.perf_counter()
-    try:
-        problem = generate_instance(spec)
-        result = run(problem, cfg)
-        truth_norm = float(np.linalg.norm(problem.truth))
-        rel = float(np.linalg.norm(result.x_final - problem.truth)) / truth_norm
-        record = TrialRecord(spec=spec, algorithm=algorithm,
-                             success=rel <= SUCCESS_REL_TOL,
-                             iterations=result.iterations,
-                             wall_time=time.perf_counter() - start,
-                             rel_error=rel, stop_reason=result.stop_reason)
-    except EnumerationGuardError as exc:
-        record = TrialRecord(spec=spec, algorithm=algorithm,
-                             success=False, iterations=0,
-                             wall_time=time.perf_counter() - start,
-                             rel_error=math.inf, error=f"{type(exc).__name__}: {exc}")
-    return record
+    problem = generate_instance(spec)
+    result = run(problem, cfg)
+    truth_norm = float(np.linalg.norm(problem.truth))
+    rel = float(np.linalg.norm(result.x_final - problem.truth)) / truth_norm
+    return TrialRecord(spec=spec, algorithm=algorithm, success=rel <= SUCCESS_REL_TOL,
+                       iterations=result.iterations,
+                       wall_time=time.perf_counter() - start,
+                       rel_error=rel, stop_reason=result.stop_reason)
 
 
 @dataclass
@@ -197,10 +185,13 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
     process pool.  Records come back in task order, which is (algorithm name,
     kappa index, rho index, trial index) whatever the worker count; they are
     not sorted afterwards.  GridResult.algorithms keeps the caller's order.
+    The pool has at most one worker per task.
 
     The whole request is checked before any trial runs: a ValueError names an
     empty axis, the first algorithm not in ALL_VARIANTS or repeated, or a
-    trial or worker count that is not a positive integer.
+    trial or worker count that is not a positive integer.  A trial's
+    exception ends the grid; hbot and hbotp sort first, so their guard
+    refusal comes at the first task.
     """
     kappa_list = list(kappa_list)
     rho_list = list(rho_list)
@@ -226,6 +217,7 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
                                         seed=trial_seed(base_seed, algorithm, ki, ri, ti))
                     tasks.append((spec, algorithm, ki, ri, ti))
 
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_grid_task, tasks, chunksize=4))

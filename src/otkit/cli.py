@@ -92,6 +92,9 @@ def cmd_grid(args):
     rhos = _frange(args.rho_min, args.rho_max, args.rho_step)
     if args.command == "ptc" and len(rhos) < 2:
         raise ValueError(f"ptc needs at least two rho values, got {rhos}")
+    for path in [args.out] + ([args.transitions_out] if args.command == "ptc" else []):
+        if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+            raise OSError(f"cannot write {path}: its directory is missing or unwritable")
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
     _print_config(args.command, dict(n=args.n, kappas=kappas, rhos=rhos,
                                      trials=args.trials, algos=algorithms, eps=args.eps,

@@ -11,6 +11,7 @@ from otkit.bench import (EnsembleSpec, equiangular_frame, generate_instance,
                          run_trial, success_grid, transition_curve,
                          transition_point, trial_seed, write_transition_csv,
                          write_trials_csv)
+from otkit.errors import EnumerationGuardError
 
 
 class TestEnsembleSpec:
@@ -115,17 +116,12 @@ class TestRunTrial:
         assert record.success
         assert record.rel_error <= 1e-3
         assert record.wall_time > 0
-        assert record.error is None
         assert record.stop_reason == "residual_tol"
 
-    def test_guard_becomes_failed_trial(self):
+    def test_guard_refusal_propagates(self):
         spec = EnsembleSpec(n=64, kappa=0.5, rho=0.1, seed=4)
-        record = run_trial(spec, "hbot")
-        assert not record.success
-        assert record.error.startswith("EnumerationGuardError: ")
-        assert "C(64," in record.error
-        assert record.stop_reason is None
-        assert math.isinf(record.rel_error)
+        with pytest.raises(EnumerationGuardError, match=r"C\(64,"):
+            run_trial(spec, "hbot")
 
     def test_divergence_is_recorded(self, monkeypatch):
         monkeypatch.setattr(otkit.bench, "config_for",
@@ -133,7 +129,6 @@ class TestRunTrial:
         spec = EnsembleSpec(n=32, kappa=0.5, rho=0.1, seed=1)
         record = run_trial(spec, "hbrot")
         assert not record.success
-        assert record.error is None
         assert record.stop_reason == "diverged"
 
     def test_other_errors_propagate(self, monkeypatch):
@@ -211,6 +206,48 @@ class TestSuccessGrid:
         with pytest.raises(ValueError, match="instance refused"):
             success_grid(**kwargs)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_guard_refusal_ends_the_grid(self, workers, monkeypatch):
+        # hbot sorts ahead of htp, so the refusal comes at the first task
+        calls = []
+
+        def spy(spec, algorithm):
+            calls.append(algorithm)
+            return run_trial(spec, algorithm)
+
+        monkeypatch.setattr(otkit.bench, "run_trial", spy)
+        with pytest.raises(EnumerationGuardError, match=r"C\(40,"):
+            success_grid(n=40, kappa_list=[0.5], rho_list=[0.1, 0.2],
+                         trials_per_cell=2, algorithms=["htp", "hbot"],
+                         base_seed=1, workers=workers)
+        if workers == 1:
+            assert calls == ["hbot"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("tasks", [1, 2])
+    def test_pool_no_larger_than_the_grid(self, tasks, monkeypatch):
+        built = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(otkit.bench, "ProcessPoolExecutor", SerialPool)
+        grid = success_grid(n=16, kappa_list=[0.75], rho_list=[0.1],
+                            trials_per_cell=tasks, algorithms=["iht"],
+                            base_seed=3, workers=6)
+        assert len(grid.records) == tasks
+        assert built == ([] if tasks == 1 else [2])
 
     def test_workers_do_not_change_hbrotp_csv(self):
         # the relaxed solve's BLAS products, not only iht/omp's small ones,

@@ -187,6 +187,34 @@ class TestGrid:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_guard_refusal_exits_3_and_writes_nothing(self, tmp_path, capsys, threads):
+        out = tmp_path / "g.csv"
+        code = run_cli("grid", "--n", "40", "--rho-min", "0.1", "--rho-max", "0.2",
+                       "--rho-step", "0.1", "--trials", "1", "--algos", "htp,hbot",
+                       "--threads", threads, "--out", str(out))
+        assert code == EXIT_WINDOW
+        assert "refusing n > 30" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, missing", [("grid", "--out"), ("ptc", "--out"),
+                                                  ("ptc", "--transitions-out")])
+    def test_missing_output_directory_refused_before_any_trial(
+            self, tmp_path, monkeypatch, command, missing):
+        grids = []
+        monkeypatch.setattr(otkit.cli, "success_grid",
+                            lambda **kwargs: grids.append(kwargs))
+        paths = {"--out": tmp_path / "t.csv", "--transitions-out": tmp_path / "tr.csv"}
+        paths[missing] = tmp_path / "no" / "such" / "dir" / "x.csv"
+        argv = [command, "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
+                "--rho-step", "0.1", "--trials", "1", "--algos", "htp",
+                "--threads", "1", "--out", str(paths["--out"])]
+        if command == "ptc":
+            argv += ["--transitions-out", str(paths["--transitions-out"])]
+        assert run_cli(*argv) == EXIT_IO
+        assert grids == []
+        assert not any(path.exists() for path in paths.values())
+
     def test_ptc_writes_transitions(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         trans = tmp_path / "ptc.csv"
