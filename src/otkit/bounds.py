@@ -305,13 +305,12 @@ class BoundConstants:
 
     The exact-selection variants fill (eta, b, theta, C2); the relaxed
     variants fill (t_k, z_k, sigma, xi_sigma, d0..d2, c1_sigma, c_sigma,
-    b1..b3, theta1, theta2).  window_ok records whether the sufficient
-    parameter window holds; contraction_ok is the exact theta < 1 predicate.
+    b1..b3, theta1, theta2).  recurrence holds the evaluated theorem's
+    (b1, b2, b3) in a_{p+1} <= b1 a_p + b2 a_{p-1} + b3 ||nu'||, set only where
+    its theta is below 1.  window_ok records whether the sufficient parameter
+    window holds; contraction_ok is the exact theta < 1 predicate.
     """
 
-    variant: str
-    beta: float
-    ric: RICProfile
     eta: float | None = None
     b: float | None = None
     theta: float | None = None
@@ -330,6 +329,7 @@ class BoundConstants:
     b3: float | None = None
     theta1: float | None = None
     theta2: float | None = None
+    recurrence: tuple | None = None
     window_ok: bool = True
     contraction_ok: bool = True
     violations: tuple = ()
@@ -412,13 +412,14 @@ def hbot_constants(ric, alpha, beta, check=True):
                                          "1 - sqrt(5) delta_(k+s(k)) = {:.6g} <= 0")
         b = eta * (abs(1.0 + beta - alpha) + root5 * alpha * dks)
         theta = 0.5 * (b + math.sqrt(b * b + 4.0 * eta * beta))
-        C2 = (2.0 + (1.0 + dk) * alpha) / ((1.0 - theta) * math.sqrt(denom)) if theta < 1 else None
-        fields = dict(eta=eta, b=b, theta=theta, C2=C2, contraction_ok=b + eta * beta < 1.0)
+        fields = dict(eta=eta, b=b, theta=theta, contraction_ok=b + eta * beta < 1.0)
+        if theta < 1:
+            C2 = (2.0 + (1.0 + dk) * alpha) / ((1.0 - theta) * math.sqrt(denom))
+            fields.update(C2=C2, recurrence=(b, eta * beta, C2 * (1.0 - theta)))
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(variant="hbot", beta=beta, ric=ric,
-                          window_ok=not violations, violations=tuple(violations), **fields)
+    return BoundConstants(window_ok=not violations, violations=tuple(violations), **fields)
 
 
 def _ratio_or_limit(num, den, limit):
@@ -428,8 +429,10 @@ def _ratio_or_limit(num, den, limit):
 def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     """Contraction constants for the relaxed variants with omega compressions.
 
-    variant selects which hypothesis set is checked: "hbrot" uses the plain
-    window and theta1; "hbrotp" uses the pursuit window and theta2.  The
+    variant selects which hypothesis set is checked and which recurrence is
+    stored: "hbrot" uses the plain window, theta1 and (b1, b2, b3); "hbrotp"
+    uses the pursuit window, theta2 and those terms over z_k, its noise term
+    raised by sqrt(1 + delta_k) / (1 - delta_2k) for the re-fit.  The
     ratios appearing in d2 and b3 are 0/0 at zero isometry constants and are
     defined there by their equal-constant limits (2w+1)/(2w-1) and 2/(2w-1).
     """
@@ -482,17 +485,23 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
         theta1 = 0.5 * (b1 + math.sqrt(b1 * b1 + 4.0 * b2))
         theta2 = (b1 + math.sqrt(b1 * b1 + 4.0 * b2 * z_k)) / (2.0 * z_k)
 
-        target = 1.0 if variant == "hbrot" else z_k
+        if variant == "hbrot":
+            target, theta, recurrence = 1.0, theta1, (b1, b2, b3)
+        else:
+            target, theta = z_k, theta2
+            recurrence = (b1 / z_k, b2 / z_k,
+                          b3 / z_k + math.sqrt(1.0 + dk) / (1.0 - d2k))
         violations += _window_violations(alpha, beta, _hbrot_window(d0, d1, d2, target),
                                          d0 - d1 + 1.0,
                                          "d0 - d1 + 1 = {:.6g} <= 0: no admissible step")
         fields = dict(t_k=t_k, z_k=z_k, d0=d0, d1=d1, d2=d2, c1_sigma=c1_sigma,
                       c_sigma=c_sigma, b1=b1, b2=b2, b3=b3, theta1=theta1, theta2=theta2,
+                      recurrence=recurrence if theta < 1 else None,
                       contraction_ok=b1 + b2 < target)
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(variant=variant, beta=beta, ric=ric, sigma=sigma, xi_sigma=xs,
+    return BoundConstants(sigma=sigma, xi_sigma=xs,
                           window_ok=not violations, violations=tuple(violations), **fields)
 
 
@@ -532,22 +541,11 @@ def convergence_envelope(bc, a0, a1, noise_norm, p):
     """Evaluate the per-iteration error envelope at step p >= 1 (int or array).
 
     a0, a1 are the starting error norms; noise_norm is ||nu'|| (the noise plus
-    the off-support tail image).  Every variant's error obeys
-    a_{p+1} <= b1 a_p + b2 a_{p-1} + b3: this picks (b1, b2, b3) for bc.variant
-    and evaluates geometric_envelope.
+    the off-support tail image).  The error obeys the recurrence the constants
+    function stored in bc.recurrence, a_{p+1} <= b1 a_p + b2 a_{p-1} + b3 ||nu'||;
+    this evaluates its geometric_envelope.
     """
-    thetas = {"hbot": bc.theta, "hbrot": bc.theta1, "hbrotp": bc.theta2}
-    if bc.variant not in thetas:
-        raise ValueError(f"no envelope for variant {bc.variant!r}")
-    theta = thetas[bc.variant]
-    if theta is None or not theta < 1:
-        raise ParameterWindowError(f"no contraction: {bc.variant} has no theta below 1")
-    if bc.variant == "hbot":
-        b1, b2, b3 = bc.b, bc.eta * bc.beta, bc.C2 * (1.0 - theta) * noise_norm
-    elif bc.variant == "hbrot":
-        b1, b2, b3 = bc.b1, bc.b2, bc.b3 * noise_norm
-    else:
-        tail = (bc.b3 / bc.z_k
-                + math.sqrt(1.0 + bc.ric.delta_k) / (1.0 - bc.ric.delta_2k))
-        b1, b2, b3 = bc.b1 / bc.z_k, bc.b2 / bc.z_k, tail * noise_norm
-    return geometric_envelope(a0, a1, b1, b2, b3, p)
+    if bc.recurrence is None:
+        raise ParameterWindowError("no contraction: no theta below 1 for these constants")
+    b1, b2, b3 = bc.recurrence
+    return geometric_envelope(a0, a1, b1, b2, b3 * noise_norm, p)

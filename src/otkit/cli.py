@@ -48,9 +48,21 @@ def _frange(lo, hi, step):
     return [round(lo + i * step, 12) for i in range(count)]
 
 
+def _check_writable(*paths):
+    """Raise OSError for a path that is a directory or whose directory is
+    missing or unwritable, so that a command refuses it before any work."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+            raise OSError(f"cannot write {path}: its directory is missing or unwritable")
+
+
 def cmd_gen(args):
     _print_config("gen", dict(n=args.n, kappa=args.kappa, rho=args.rho,
                               eps=args.eps, seed=args.seed, out_prefix=args.out_prefix))
+    _check_writable(f"{args.out_prefix}.A.csv", f"{args.out_prefix}.y.csv",
+                    f"{args.out_prefix}.truth.csv")
     spec = EnsembleSpec(n=args.n, kappa=args.kappa, rho=args.rho,
                         noise_eps=args.eps, seed=args.seed)
     problem = generate_instance(spec)
@@ -67,6 +79,7 @@ def cmd_recover(args):
                                   alpha=args.alpha, beta=args.beta, omega=args.omega,
                                   max_iter=args.max_iter, tol=args.tol,
                                   truth=args.truth, out=args.out))
+    _check_writable(args.out)
     A = load_matrix_csv(args.A)
     y = load_vector_csv(args.y)
     truth = load_vector_csv(args.truth) if args.truth else None
@@ -92,9 +105,7 @@ def cmd_grid(args):
     rhos = _frange(args.rho_min, args.rho_max, args.rho_step)
     if args.command == "ptc" and len(rhos) < 2:
         raise ValueError(f"ptc needs at least two rho values, got {rhos}")
-    for path in [args.out] + ([args.transitions_out] if args.command == "ptc" else []):
-        if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
-            raise OSError(f"cannot write {path}: its directory is missing or unwritable")
+    _check_writable(args.out, *([args.transitions_out] if args.command == "ptc" else []))
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
     _print_config(args.command, dict(n=args.n, kappas=kappas, rhos=rhos,
                                      trials=args.trials, algos=algorithms, eps=args.eps,

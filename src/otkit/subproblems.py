@@ -105,6 +105,20 @@ def project_capped_simplex(v, k, shift=None):
     return np.minimum(d, 1.0, out=d)
 
 
+def _selection_inputs(A, y, v, k):
+    """The checks both selection solvers open with: A a matrix, y and v vectors
+    of its row and column counts, and k an integer in 1..n.  Returns (A, y, v)."""
+    A = as_matrix(A, "A")
+    y = as_vector(y, "y")
+    v = as_vector(v, "v")
+    m, n = A.shape
+    if y.size != m or v.size != n:
+        raise ValueError(f"incompatible shapes: A is {A.shape}, y has {y.size}, v has {v.size}")
+    if not is_count(k) or not 1 <= k <= n:
+        raise ValueError(f"k={k} must be an integer in 1..{n}")
+    return A, y, v
+
+
 def solve_relaxed_ot(A, y, v, k):
     """Minimise ||y - A (v*w)||^2 over the capped simplex {sum(w)=k, 0<=w<=1}.
 
@@ -130,14 +144,8 @@ def solve_relaxed_ot(A, y, v, k):
     is returned with converged=False; the caller decides whether that is
     acceptable.
     """
-    A = as_matrix(A, "A")
-    y = as_vector(y, "y")
-    v = as_vector(v, "v")
+    A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
-    if y.size != m or v.size != n:
-        raise ValueError(f"incompatible shapes: A is {A.shape}, y has {y.size}, v has {v.size}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
 
     B = A * v  # columns scaled by v
     G = B.T @ B
@@ -198,14 +206,8 @@ def solve_binary_ot(A, y, v, k):
 
     Returns (w, objective).
     """
-    A = as_matrix(A, "A")
-    y = as_vector(y, "y")
-    v = as_vector(v, "v")
+    A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
-    if y.size != m or v.size != n:
-        raise ValueError(f"incompatible shapes: A is {A.shape}, y has {y.size}, v has {v.size}")
-    if not is_count(k) or not 1 <= k <= n:
-        raise ValueError(f"k={k} must be an integer in 1..{n}")
     if n > BINARY_ENUM_MAX_N:
         raise EnumerationGuardError(
             f"binary selection enumerates C({n},{k}) subsets; refusing n > "

@@ -626,6 +626,23 @@ class TestEnvelopeDispatch:
         expected = 0.5**2 * (1.0 + (0.5 - 0.5) * 1.0) + bc.C2 * 0.1
         assert val == pytest.approx(expected)
 
+    @pytest.mark.parametrize("omega", [1, 2])
+    @pytest.mark.parametrize("variant", ["hbrot", "hbrotp"])
+    def test_relaxed_envelope_formula(self, variant, omega):
+        # hbrot's recurrence is (b1, b2, b3); hbrotp's divides each by z_k and
+        # adds sqrt(1 + delta_k) / (1 - delta_2k) to the noise term
+        ric = RICProfile(k=2, delta_k=0.01, delta_kp1=0.015, delta_2k=0.02, delta_3k=0.03)
+        bc = hbrot_constants(ric, alpha=1.05, beta=0.05, omega=omega, n=40, variant=variant)
+        ps = np.arange(1, 20)
+        if variant == "hbrot":
+            b1, b2, b3 = bc.b1, bc.b2, bc.b3
+        else:
+            b1, b2 = bc.b1 / bc.z_k, bc.b2 / bc.z_k
+            b3 = bc.b3 / bc.z_k + math.sqrt(1.0 + ric.delta_k) / (1.0 - ric.delta_2k)
+        np.testing.assert_array_equal(
+            convergence_envelope(bc, a0=1.0, a1=0.8, noise_norm=0.1, p=ps),
+            geometric_envelope(1.0, 0.8, b1, b2, b3 * 0.1, ps))
+
     def test_rejects_expanding_configuration(self):
         bc = hbot_constants(zero_ric(2), alpha=1.0, beta=2.0, check=False)
         with pytest.raises(ParameterWindowError):

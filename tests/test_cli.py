@@ -53,6 +53,20 @@ class TestGen:
         for suffix in (".A.csv", ".y.csv", ".truth.csv"):
             assert open(p1 + suffix, "rb").read() == open(p2 + suffix, "rb").read()
 
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    def test_bad_output_path_refused_before_drawing(self, tmp_path, monkeypatch, bad):
+        drawn = []
+        monkeypatch.setattr(otkit.cli, "generate_instance", drawn.append)
+        if bad == "missing":
+            prefix = tmp_path / "no" / "such" / "inst"
+        else:
+            prefix = tmp_path / "inst"
+            (tmp_path / "inst.y.csv").mkdir()
+        code = run_cli("gen", "--n", "16", "--out-prefix", str(prefix))
+        assert code == EXIT_IO
+        assert drawn == []
+        assert not any(path.is_file() for path in tmp_path.rglob("*"))
+
 
 class TestRecover:
     def test_identity_instance_exact(self, tmp_path, capsys):
@@ -96,6 +110,19 @@ class TestRecover:
         rel_line = [l for l in capsys.readouterr().out.splitlines()
                     if l.startswith("rel_error")][0]
         assert float(rel_line.split(":")[1]) <= 1e-3
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    def test_bad_output_path_refused_before_recovery(self, tmp_path, monkeypatch, bad):
+        runs = []
+        monkeypatch.setattr(otkit.cli, "run", lambda *a: runs.append(a))
+        save_matrix_csv(tmp_path / "A.csv", np.eye(4))
+        save_vector_csv(tmp_path / "y.csv", np.ones(4))
+        out = tmp_path / "no" / "such" / "x.csv" if bad == "missing" else tmp_path
+        code = run_cli("recover", "--A", str(tmp_path / "A.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--k", "2", "--out", str(out))
+        assert code == EXIT_IO
+        assert runs == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["A.csv", "y.csv"]
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli("recover", "--A", str(tmp_path / "nope.csv"),
@@ -201,19 +228,22 @@ class TestGrid:
                                                   ("ptc", "--transitions-out")])
     def test_missing_output_directory_refused_before_any_trial(
             self, tmp_path, monkeypatch, command, missing):
+        # a path in a missing directory, and a path that is itself a directory
         grids = []
         monkeypatch.setattr(otkit.cli, "success_grid",
                             lambda **kwargs: grids.append(kwargs))
-        paths = {"--out": tmp_path / "t.csv", "--transitions-out": tmp_path / "tr.csv"}
-        paths[missing] = tmp_path / "no" / "such" / "dir" / "x.csv"
-        argv = [command, "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
-                "--rho-step", "0.1", "--trials", "1", "--algos", "htp",
-                "--threads", "1", "--out", str(paths["--out"])]
-        if command == "ptc":
-            argv += ["--transitions-out", str(paths["--transitions-out"])]
-        assert run_cli(*argv) == EXIT_IO
-        assert grids == []
-        assert not any(path.exists() for path in paths.values())
+        (tmp_path / "d").mkdir()
+        for bad in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path / "d"):
+            paths = {"--out": tmp_path / "t.csv", "--transitions-out": tmp_path / "tr.csv"}
+            paths[missing] = bad
+            argv = [command, "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
+                    "--rho-step", "0.1", "--trials", "1", "--algos", "htp",
+                    "--threads", "1", "--out", str(paths["--out"])]
+            if command == "ptc":
+                argv += ["--transitions-out", str(paths["--transitions-out"])]
+            assert run_cli(*argv) == EXIT_IO
+            assert grids == []
+            assert not any(path.is_file() for path in paths.values())
 
     def test_ptc_writes_transitions(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -262,6 +262,14 @@ class TestRelaxedOT:
         assert not converged
         assert abs(w.sum() - 5) <= 1e-12  # still feasible
 
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5])
+    def test_non_integer_k_rejected(self, rng, k):
+        A, y, v = rng.standard_normal((4, 6)), rng.standard_normal(4), rng.standard_normal(6)
+        with pytest.raises(ValueError, match="must be an integer"):
+            solve_relaxed_ot(A, y, v, k)
+        np.testing.assert_array_equal(solve_relaxed_ot(A, y, v, np.int64(2))[0],
+                                      solve_relaxed_ot(A, y, v, 2)[0])
+
 
 class TestBinaryOT:
     def test_constructed_optimum(self, rng):
