@@ -48,12 +48,10 @@ def main():
             alpha = 1.0 + beta
             if variant == "hbot":
                 bc = hbot_constants(ric, alpha, beta)
-                theta = bc.theta
             else:
                 bc = hbrot_constants(ric, alpha, beta, args.omega, args.n,
                                      variant=variant)
-                theta = bc.theta1 if variant == "hbrot" else bc.theta2
-            print(f"{delta:8.4f} {beta_max:9.4f} {lo:9.4f} {hi:9.4f} {theta:8.4f}")
+            print(f"{delta:8.4f} {beta_max:9.4f} {lo:9.4f} {hi:9.4f} {bc.theta:8.4f}")
 
 
 if __name__ == "__main__":

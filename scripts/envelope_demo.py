@@ -38,7 +38,7 @@ def main():
     print(f"window: beta_max={beta_max:.4f}; at beta={beta:.4f} "
           f"alpha in ({lo:.4f}, {hi:.4f}); using alpha={alpha:.4f}")
     bc = hbrot_constants(prof, alpha, beta, omega=1, n=args.n, variant="hbrotp")
-    print(f"contraction factor theta={bc.theta2:.4f}")
+    print(f"contraction factor theta={bc.theta:.4f}")
 
     truth = np.zeros(args.n)
     truth[int(rng.integers(0, args.n))] = 1.0

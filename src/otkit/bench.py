@@ -270,10 +270,12 @@ def transition_curve(grid, algorithm):
 
 def write_trials_csv(fh, grid, include_timing=False):
     """Write the trial rows.  Timing is written as 0 unless include_timing is
-    set, keeping the default output byte-reproducible run to run."""
+    set, keeping the default output byte-reproducible run to run.  A timed row
+    writes its seconds as d.dddddde±XX (7 significant digits), so the file's
+    length does not vary with the measured times."""
     fh.write(f"# generator={GENERATOR_NAME}, base_seed={grid.base_seed}, n={grid.n}\n")
     for r in grid.records:
-        wall = repr(r.wall_time) if include_timing else "0"
+        wall = f"{r.wall_time:.6e}" if include_timing else "0"
         fh.write(",".join([
             r.algorithm,
             repr(float(r.spec.kappa)),

@@ -282,13 +282,18 @@ def geometric_envelope(a0, a1, b1, b2, b3, p):
 
     Returns theta^(p-1) (a1 + (theta - b1) a0) + b3/(1 - theta) with
     theta = (b1 + sqrt(b1^2 + 4 b2))/2, valid for p >= 1 whenever b1 + b2 < 1
-    (at p = 1 it is at least a1).  p may be an int or an array of ints.
+    (at p = 1 it is at least a1).  a0, a1 are error norms (finite and
+    nonnegative); p is an integer or an array of integers.
     """
+    if not all(0 <= a < math.inf for a in (a0, a1)):
+        raise ValueError("a0, a1 must be finite and nonnegative")
     if not all(0 <= b < math.inf for b in (b1, b2, b3)):
         raise ValueError("b1, b2, b3 must be finite and nonnegative")
     if b1 + b2 >= 1:
         raise ParameterWindowError(f"b1+b2={b1 + b2} >= 1: no contraction")
     p_arr = np.asarray(p)
+    if p_arr.dtype.kind not in "iu":
+        raise ValueError("p must be an integer or an array of integers")
     if np.any(p_arr < 1):
         raise ValueError("envelope defined for p >= 1")
     theta = 0.5 * (b1 + math.sqrt(b1 * b1 + 4.0 * b2))
@@ -305,10 +310,11 @@ class BoundConstants:
 
     The exact-selection variants fill (eta, b, theta, C2); the relaxed
     variants fill (t_k, z_k, sigma, xi_sigma, d0..d2, c1_sigma, c_sigma,
-    b1..b3, theta1, theta2).  recurrence holds the evaluated theorem's
-    (b1, b2, b3) in a_{p+1} <= b1 a_p + b2 a_{p-1} + b3 ||nu'||, set only where
-    its theta is below 1.  window_ok records whether the sufficient parameter
-    window holds; contraction_ok is the exact theta < 1 predicate.
+    b1..b3, theta1, theta2).  Each certification fact is held once: theta is
+    the evaluated theorem's contraction factor (theta1 for hbrot, theta2 for
+    hbrotp); recurrence, its (b1, b2, b3) in a_{p+1} <= b1 a_p + b2 a_{p-1}
+    + b3 ||nu'||, is set exactly where theta < 1; violations is empty exactly
+    where the sufficient parameter window holds.
     """
 
     eta: float | None = None
@@ -330,8 +336,6 @@ class BoundConstants:
     theta1: float | None = None
     theta2: float | None = None
     recurrence: tuple | None = None
-    window_ok: bool = True
-    contraction_ok: bool = True
     violations: tuple = ()
 
 
@@ -348,6 +352,8 @@ def _hbot_window(eta, dks):
     root5 = math.sqrt(5.0)
 
     def interval(beta):
+        if beta < 0:
+            raise ValueError("beta must be nonnegative")
         return ((1.0 + 2.0 * beta - 1.0 / eta) / (1.0 - root5 * dks),
                 (1.0 + 1.0 / eta) / (1.0 + root5 * dks))
 
@@ -360,6 +366,8 @@ def _hbrot_window(d0, d1, d2, target):
     shift = 1.0 - target
 
     def interval(beta):
+        if beta < 0:
+            raise ValueError("beta must be nonnegative")
         return (((d0 + d2 + 2.0) * beta + d0 + shift) / (d0 - d1 + 1.0),
                 (d0 + 2.0 - shift - (d2 - d0) * beta) / (d0 + d1 + 1.0))
 
@@ -401,7 +409,7 @@ def hbot_constants(ric, alpha, beta, check=True):
         violations.append(f"delta_(k+s(k))={dks:.6g} >= gamma*={gs:.6g}")
 
     denom = 1.0 - 2.0 * dk - dks
-    fields = dict(contraction_ok=False)
+    fields = {}
     if denom <= 0:
         violations.append(f"1 - 2 delta_k - delta_(k+s(k)) = {denom:.6g} <= 0")
     else:
@@ -412,14 +420,14 @@ def hbot_constants(ric, alpha, beta, check=True):
                                          "1 - sqrt(5) delta_(k+s(k)) = {:.6g} <= 0")
         b = eta * (abs(1.0 + beta - alpha) + root5 * alpha * dks)
         theta = 0.5 * (b + math.sqrt(b * b + 4.0 * eta * beta))
-        fields = dict(eta=eta, b=b, theta=theta, contraction_ok=b + eta * beta < 1.0)
+        fields = dict(eta=eta, b=b, theta=theta)
         if theta < 1:
             C2 = (2.0 + (1.0 + dk) * alpha) / ((1.0 - theta) * math.sqrt(denom))
             fields.update(C2=C2, recurrence=(b, eta * beta, C2 * (1.0 - theta)))
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(window_ok=not violations, violations=tuple(violations), **fields)
+    return BoundConstants(violations=tuple(violations), **fields)
 
 
 def _ratio_or_limit(num, den, limit):
@@ -429,12 +437,13 @@ def _ratio_or_limit(num, den, limit):
 def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     """Contraction constants for the relaxed variants with omega compressions.
 
-    variant selects which hypothesis set is checked and which recurrence is
-    stored: "hbrot" uses the plain window, theta1 and (b1, b2, b3); "hbrotp"
-    uses the pursuit window, theta2 and those terms over z_k, its noise term
-    raised by sqrt(1 + delta_k) / (1 - delta_2k) for the re-fit.  The
-    ratios appearing in d2 and b3 are 0/0 at zero isometry constants and are
-    defined there by their equal-constant limits (2w+1)/(2w-1) and 2/(2w-1).
+    variant selects which hypothesis set is checked and which theta and
+    recurrence are stored (theta1 and theta2 are both kept): "hbrot" uses the
+    plain window, theta1 and (b1, b2, b3); "hbrotp" uses the pursuit window,
+    theta2 and those terms over z_k, its noise term raised by
+    sqrt(1 + delta_k) / (1 - delta_2k) for the re-fit.  The ratios appearing
+    in d2 and b3 are 0/0 at zero isometry constants and are defined there by
+    their equal-constant limits (2w+1)/(2w-1) and 2/(2w-1).
     """
     _validated(alpha, beta)
     if variant not in ("hbrot", "hbrotp"):
@@ -455,7 +464,7 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     if not d3k < bound:
         name = "gamma*(omega)" if variant == "hbrot" else "gamma#(omega)"
         violations.append(f"delta_3k={d3k:.6g} >= {name}={bound:.6g}")
-    fields = dict(contraction_ok=False)
+    fields = {}
     if d2k >= 1.0:
         violations.append(f"delta_2k={d2k:.6g} >= 1")
     else:
@@ -496,22 +505,20 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
                                          "d0 - d1 + 1 = {:.6g} <= 0: no admissible step")
         fields = dict(t_k=t_k, z_k=z_k, d0=d0, d1=d1, d2=d2, c1_sigma=c1_sigma,
                       c_sigma=c_sigma, b1=b1, b2=b2, b3=b3, theta1=theta1, theta2=theta2,
-                      recurrence=recurrence if theta < 1 else None,
-                      contraction_ok=b1 + b2 < target)
+                      theta=theta, recurrence=recurrence if theta < 1 else None)
 
     if check and violations:
         raise ParameterWindowError("; ".join(violations))
-    return BoundConstants(sigma=sigma, xi_sigma=xs,
-                          window_ok=not violations, violations=tuple(violations), **fields)
+    return BoundConstants(sigma=sigma, xi_sigma=xs, violations=tuple(violations), **fields)
 
 
 def parameter_window(ric, omega=1, variant="hbot", n=None):
     """Admissible momentum range and, per beta, the open step-size interval.
 
-    Returns (beta_max, interval) where interval(beta) -> (alpha_lo, alpha_hi),
-    the window hbot_constants/hbrot_constants check.  For beta < beta_max the
-    interval is nonempty and contains 1 + beta.  The relaxed variants need the
-    ambient dimension n (for the block count).
+    Returns _hbot_window's or _hbrot_window's (beta_max, interval), the window
+    hbot_constants/hbrot_constants check; interval(beta) -> (alpha_lo, alpha_hi)
+    refuses a negative beta.  For beta < beta_max the interval is nonempty and
+    contains 1 + beta.  The relaxed variants need n (for the block count).
 
     The isometry hypotheses are the constants' own: when they hold, beta_max > 0
     and 1 lies inside interval(0), so the constants at (alpha, beta) = (1, 0)
@@ -521,20 +528,11 @@ def parameter_window(ric, omega=1, variant="hbot", n=None):
     """
     if variant in ("hbot", "hbotp"):
         bc = hbot_constants(ric, alpha=1.0, beta=0.0)
-        beta_max, alpha_interval = _hbot_window(bc.eta, ric.delta_k_sk)
-    elif variant in ("hbrot", "hbrotp"):
+        return _hbot_window(bc.eta, ric.delta_k_sk)
+    if variant in ("hbrot", "hbrotp"):
         bc = hbrot_constants(ric, alpha=1.0, beta=0.0, omega=omega, n=n, variant=variant)
-        beta_max, alpha_interval = _hbrot_window(
-            bc.d0, bc.d1, bc.d2, 1.0 if variant == "hbrot" else bc.z_k)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    def interval(beta):
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
-        return alpha_interval(beta)
-
-    return beta_max, interval
+        return _hbrot_window(bc.d0, bc.d1, bc.d2, 1.0 if variant == "hbrot" else bc.z_k)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def convergence_envelope(bc, a0, a1, noise_norm, p):

@@ -159,8 +159,8 @@ def cmd_bounds(args):
                       "c1_sigma", "c_sigma", "b1", "b2", "b3", "theta1", "theta2"):
             value = getattr(bc, field)
             print(f"{field} = {value:.10g}" if value is not None else f"{field} = n/a")
-    print(f"contraction: {'yes' if bc.contraction_ok else 'no'}")
-    if bc.window_ok:
+    print(f"contraction: {'yes' if bc.recurrence is not None else 'no'}")
+    if not bc.violations:
         print("window: PASS")
         return EXIT_OK
     print("window: FAIL")

@@ -74,7 +74,7 @@ class TestExactSelectionVariants:
         prof = ric_profile(A, k)
         beta = 0.1
         bc = hbot_constants(prof, alpha=1.0 + beta, beta=beta)
-        assert bc.window_ok
+        assert not bc.violations
         truth = np.zeros(n)
         truth[[3, 11]] = rng.standard_normal(2)
         problem = ProblemInstance(A=A, y=A @ truth, k=k, truth=truth)

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -367,6 +369,22 @@ class TestCsv:
                         timed.getvalue().splitlines()[1:]):
             assert a.rsplit(",", 1)[0] == b.rsplit(",", 1)[0]
             assert float(b.rsplit(",", 1)[1]) > 0
+
+    def test_timed_field_has_fixed_width(self, small_grid):
+        timed = io.StringIO()
+        write_trials_csv(timed, small_grid, include_timing=True)
+        for line in timed.getvalue().splitlines()[1:]:
+            assert re.fullmatch(r"\d\.\d{6}e[-+]\d{2}", line.rsplit(",", 1)[1])
+
+    def test_timed_csv_length_does_not_depend_on_wall_time(self, small_grid):
+        lengths = []
+        for wall in (0.1, 0.0123456789):
+            grid = dataclasses.replace(small_grid, records=[
+                dataclasses.replace(r, wall_time=wall) for r in small_grid.records])
+            buf = io.StringIO()
+            write_trials_csv(buf, grid, include_timing=True)
+            lengths.append(len(buf.getvalue()))
+        assert lengths[0] == lengths[1]
 
     def test_transition_csv(self, small_grid):
         buf = io.StringIO()

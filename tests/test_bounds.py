@@ -52,6 +52,10 @@ class TestRoots:
                 root(omega)
         assert root(np.int64(1)) == value
 
+    def test_root_below_the_bracket_returns_its_lower_end(self):
+        # at omega >= 5e8 the growth function is already >= 1 at g = 1e-9
+        assert gamma_star_omega(10**9) == 1e-09
+
 
 class TestSofK:
     @pytest.mark.parametrize("k,expected", [(3, 1), (4, 0), (1, 1), (2, 0), (7, 1)])
@@ -170,6 +174,23 @@ class TestGeometricEnvelope:
         with pytest.raises(ValueError, match="b1, b2, b3 must be finite and nonnegative"):
             geometric_envelope(0.0, 1.0, b1, b2, b3, 5)
 
+    @pytest.mark.parametrize("a0, a1", [
+        (math.nan, 1.0), (-5.0, 1.0), (1.0, math.inf), (1.0, math.nan), (1.0, -0.1),
+    ])
+    def test_error_norms_must_be_finite_and_nonnegative(self, a0, a1):
+        with pytest.raises(ValueError, match="a0, a1 must be finite and nonnegative"):
+            geometric_envelope(a0, a1, 0.5, 0.2, 0.1, 3)
+
+    @pytest.mark.parametrize("p", [2.5, 0.5, True, 3.0, np.array([1.0, 2.0]),
+                                   np.array([True, True])],
+                             ids=["fraction", "fraction-below-one", "bool", "float",
+                                  "float-array", "bool-array"])
+    def test_steps_must_be_integers(self, p):
+        with pytest.raises(ValueError, match="p must be an integer or an array of integers"):
+            geometric_envelope(1.0, 1.0, 0.5, 0.2, 0.1, p)
+        assert (geometric_envelope(1.0, 1.0, 0.5, 0.2, 0.1, np.int64(3))
+                == geometric_envelope(1.0, 1.0, 0.5, 0.2, 0.1, 3))
+
 
 def ric_oracle(A, order):
     """Order-t isometry constant with one eigvalsh call per sorted support."""
@@ -285,6 +306,10 @@ class TestRicProfile:
         with pytest.raises(ValueError):
             RICProfile(k=2, delta_k=0.3, delta_2k=0.2, delta_3k=0.4, delta_kp1=0.35)
 
+    def test_negative_constant_rejected(self):
+        with pytest.raises(ValueError, match="isometry constants must be nonnegative"):
+            RICProfile(k=2, delta_k=-0.1, delta_2k=0.2, delta_3k=0.3, delta_kp1=0.15)
+
     def test_k_must_be_an_integer(self):
         for k in (2.5, 2.0, True):
             with pytest.raises(ValueError, match="k must be a positive integer"):
@@ -380,7 +405,7 @@ class TestHbotConstants:
         assert bc.b == 0.0
         assert bc.theta == 0.0
         assert bc.C2 == pytest.approx(3.0)
-        assert bc.window_ok and bc.contraction_ok
+        assert not bc.violations and bc.recurrence is not None
 
     def test_alpha_off_one(self):
         bc = hbot_constants(zero_ric(2), alpha=1.5, beta=0.0)
@@ -391,6 +416,23 @@ class TestHbotConstants:
         ric = RICProfile(k=1, delta_k=0.23, delta_2k=0.23, delta_3k=0.23,
                          delta_kp1=0.23)
         with pytest.raises(ParameterWindowError, match="gamma"):
+            hbot_constants(ric, alpha=1.0, beta=0.0)
+
+    def test_degenerate_eta_denominator_recorded(self):
+        # 1 - 2 delta_k - delta_(k+s(k)) <= 0 leaves eta, theta and the recurrence unset
+        ric = RICProfile(k=2, delta_k=0.4, delta_2k=0.4, delta_3k=0.4, delta_kp1=0.4)
+        bc = hbot_constants(ric, alpha=1.0, beta=0.0, check=False)
+        assert bc.eta is None and bc.theta is None and bc.recurrence is None
+        assert any(v.startswith("1 - 2 delta_k - delta_(k+s(k)) = -0.2 <= 0")
+                   for v in bc.violations)
+
+    def test_nonpositive_alpha_lo_denominator_recorded(self):
+        # delta_(k+s(k)) = 0.5 > 1/sqrt(5) with eta still defined
+        ric = RICProfile(k=1, delta_k=0.0, delta_2k=0.5, delta_3k=0.5, delta_kp1=0.5)
+        bc = hbot_constants(ric, alpha=1.0, beta=0.0, check=False)
+        assert bc.eta is not None
+        assert "1 - sqrt(5) delta_(k+s(k)) = -0.118034 <= 0" in bc.violations
+        with pytest.raises(ParameterWindowError, match=r"1 - sqrt\(5\) delta_\(k\+s\(k\)\)"):
             hbot_constants(ric, alpha=1.0, beta=0.0)
 
     def test_theta_below_one_iff_contraction(self, rng):
@@ -405,7 +447,7 @@ class TestHbotConstants:
             if bc.eta is None:
                 continue
             assert (bc.theta < 1.0) == (bc.b + bc.eta * beta < 1.0)
-            if bc.window_ok:
+            if not bc.violations:
                 assert bc.theta < 1.0
 
 
@@ -418,7 +460,24 @@ class TestHbrotConstants:
         assert bc.b2 == 0.0
         assert bc.theta1 == 0.0
         assert bc.theta2 == 0.0
-        assert bc.window_ok
+        assert not bc.violations
+
+    @pytest.mark.parametrize("variant", ["hbrot", "hbrotp"])
+    def test_theta_is_the_variant_factor(self, variant, rng):
+        # theta is the factor of the theorem evaluated: theta1 or theta2, bit for bit
+        for _ in range(50):
+            delta = float(rng.uniform(0, 0.25))
+            ric = RICProfile(k=1, delta_k=0.5 * delta, delta_2k=delta,
+                             delta_3k=delta, delta_kp1=delta)
+            bc = hbrot_constants(ric, float(rng.uniform(0.05, 2.0)),
+                                 float(rng.uniform(0, 0.5)), omega=int(rng.integers(1, 4)),
+                                 n=16, variant=variant, check=False)
+            assert bc.theta == (bc.theta1 if variant == "hbrot" else bc.theta2)
+            assert (bc.theta < 1.0) == (bc.recurrence is not None)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="variant must be 'hbrot' or 'hbrotp', got 'hbot'"):
+            hbrot_constants(zero_ric(2), alpha=1.0, beta=0.0, omega=1, n=20, variant="hbot")
 
     def test_sigma_and_xi(self):
         bc = hbrot_constants(zero_ric(10), alpha=1.0, beta=0.0, omega=1, n=100,
@@ -439,7 +498,7 @@ class TestHbrotConstants:
                                 variant="hbrot")
         bc = hbrot_constants(zero_ric(2), alpha=1.0, beta=0.0, omega=np.int64(2), n=20,
                              variant="hbrot")
-        assert bc.window_ok
+        assert not bc.violations
 
     def test_n_must_be_a_positive_integer(self):
         for n in (None, 40.5, 40.0, math.inf, True, 0):
@@ -473,7 +532,7 @@ class TestHbrotConstants:
                 bc = hbrot_constants(ric, alpha, beta, omega, n=16,
                                      variant=variant, check=False)
                 assert (theta_of(bc) < 1.0) == (bc.b1 + bc.b2 < target_of(bc))
-                if bc.window_ok:
+                if not bc.violations:
                     assert theta_of(bc) < 1.0
 
     def test_equal_ric_limit_convention(self):
@@ -491,6 +550,16 @@ class TestHbrotConstants:
 
 
 class TestParameterWindow:
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'omp'"):
+            parameter_window(zero_ric(2), variant="omp", n=20)
+
+    @pytest.mark.parametrize("variant", ["hbot", "hbotp", "hbrot", "hbrotp"])
+    def test_interval_refuses_negative_beta(self, variant):
+        _, interval = parameter_window(zero_ric(2), variant=variant, n=20)
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            interval(-0.1)
+
     def test_zero_delta_exact_selection(self):
         beta_max, interval = parameter_window(zero_ric(2), variant="hbot")
         assert beta_max == pytest.approx(1.0)

@@ -194,6 +194,15 @@ class TestGrid:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_non_positive_step_rejected(self, tmp_path, capsys, step):
+        out = tmp_path / "g.csv"
+        code = run_cli("grid", "--n", "16", "--trials", "1", "--algos", "iht",
+                       f"--rho-step={step}", "--threads", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "step must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_noise_rejected(self, tmp_path):
         out = tmp_path / "g.csv"
         code = run_cli("grid", "--n", "16", "--trials", "1", "--algos", "iht",
@@ -315,6 +324,12 @@ class TestBounds:
         assert code == EXIT_WINDOW
         out = capsys.readouterr().out
         assert "window: FAIL" in out
+
+    def test_relaxed_variant_needs_n(self, capsys):
+        code = run_cli("bounds", "--delta-k", "0.01", "--delta-2k", "0.02",
+                       "--delta-3k", "0.03", "--k", "2", "--variant", "hbrot")
+        assert code == EXIT_USAGE
+        assert "--n is required for the relaxed variants" in capsys.readouterr().err
 
     def test_nan_alpha_is_usage_error(self):
         code = run_cli("bounds", "--delta-k", "0", "--delta-2k", "0", "--delta-3k", "0",

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit.core
-from otkit.core import (ProblemInstance, hard_threshold, load_matrix_csv,
-                        load_vector_csv, save_matrix_csv, save_vector_csv,
-                        subset_blocks, top_k_indices)
+from otkit.core import (ProblemInstance, as_matrix, as_vector, hard_threshold,
+                        load_matrix_csv, load_vector_csv, save_matrix_csv,
+                        save_vector_csv, subset_blocks, top_k_indices)
 
 
 class TestTopK:
@@ -72,6 +72,27 @@ class TestHardThreshold:
         assert ours <= best + 1e-12 * (1.0 + best)
 
 
+class TestArrayInputs:
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.array([]), np.float64(1.0)],
+                             ids=["2-d", "empty", "0-d"])
+    def test_vector_shape_rejected(self, bad):
+        with pytest.raises(ValueError, match="v must be a nonempty 1-d array, got shape"):
+            as_vector(bad, "v")
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.empty((0, 3)), np.ones((2, 2, 2))],
+                             ids=["1-d", "empty", "3-d"])
+    def test_matrix_shape_rejected(self, bad):
+        with pytest.raises(ValueError, match="M must be a nonempty 2-d array, got shape"):
+            as_matrix(bad, "M")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        with pytest.raises(ValueError, match="v contains non-finite entries"):
+            as_vector([1.0, value], "v")
+        with pytest.raises(ValueError, match="M contains non-finite entries"):
+            as_matrix([[1.0, value]], "M")
+
+
 class TestProblemInstance:
     def test_valid(self, rng):
         A = rng.normal(0, 1, (4, 8))
@@ -90,6 +111,16 @@ class TestProblemInstance:
             with pytest.raises(ValueError, match="must be an integer"):
                 ProblemInstance(A=A, y=np.ones(4), k=k)
         ProblemInstance(A=A, y=np.ones(4), k=np.int64(2))
+
+    def test_y_length_rejected(self, rng):
+        A = rng.normal(0, 1, (4, 8))
+        with pytest.raises(ValueError, match="y has length 3, expected 4"):
+            ProblemInstance(A=A, y=np.ones(3), k=2)
+
+    def test_truth_length_rejected(self, rng):
+        A = rng.normal(0, 1, (4, 8))
+        with pytest.raises(ValueError, match="truth has length 7, expected 8"):
+            ProblemInstance(A=A, y=np.ones(4), k=2, truth=np.ones(7))
 
     def test_k_above_n_rejected(self, rng):
         # a tall A: k <= m holds, but no k-sparse support exists among 4 columns
@@ -123,6 +154,31 @@ class TestCsvRoundTrip:
         path.write_text("2,3\n1.0,2.0,3.0\n1.0,2.0\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3"):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize("header", ["2;2", "2", "two,2", ""])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:1: expected header 'm,n'"):
+            load_matrix_csv(path)
+
+    def test_wrong_row_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("3,2\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: expected 3 rows, got 2"):
+            load_matrix_csv(path)
+
+    def test_vector_parse_error_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0\noops\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: non-numeric entry 'oops'"):
+            load_vector_csv(path)
+
+    def test_empty_vector_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n\n")
+        with pytest.raises(ValueError, match=r"empty\.csv: empty vector file"):
+            load_vector_csv(path)
 
 
 def combination_blocks(n, k, size):

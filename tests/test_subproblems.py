@@ -271,6 +271,14 @@ class TestRelaxedOT:
                                       solve_relaxed_ot(A, y, v, 2)[0])
 
 
+@pytest.mark.parametrize("solver", [solve_relaxed_ot, solve_binary_ot])
+@pytest.mark.parametrize("m_y, n_v", [(3, 6), (4, 5)], ids=["y", "v"])
+def test_selection_shape_mismatch_rejected(rng, solver, m_y, n_v):
+    A = rng.standard_normal((4, 6))
+    with pytest.raises(ValueError, match=r"incompatible shapes: A is \(4, 6\)"):
+        solver(A, rng.standard_normal(m_y), rng.standard_normal(n_v), 2)
+
+
 class TestBinaryOT:
     def test_constructed_optimum(self, rng):
         m, n, k = 5, 9, 3
@@ -445,6 +453,17 @@ class TestLeastSquares:
         A = rng.standard_normal((4, 6))
         x = least_squares_on_support(A, rng.standard_normal(4), np.array([], dtype=int))
         np.testing.assert_array_equal(x, np.zeros(6))
+
+    def test_y_length_rejected(self, rng):
+        A = rng.standard_normal((4, 6))
+        with pytest.raises(ValueError, match="y has length 3, expected 4"):
+            least_squares_on_support(A, rng.standard_normal(3), np.array([1, 2]))
+
+    @pytest.mark.parametrize("support", [[0, 6], [-1, 2]], ids=["above", "negative"])
+    def test_out_of_range_support_rejected(self, rng, support):
+        A = rng.standard_normal((4, 6))
+        with pytest.raises(ValueError, match="support indices out of range"):
+            least_squares_on_support(A, rng.standard_normal(4), np.array(support))
 
     def test_duplicate_support_rejected(self, rng):
         A = rng.standard_normal((4, 6))
