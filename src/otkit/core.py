@@ -114,6 +114,8 @@ class ProblemInstance:
     """One sparse linear inverse instance: recover a k-sparse x from y = A x + noise.
 
     truth is optional: with it, runs record each iterate's error to it.
+    A problem whose ||A||_F ||y|| overflows float64 is refused: the first
+    product A^T y of a run can already overflow there.
     """
 
     A: np.ndarray
@@ -129,6 +131,10 @@ class ProblemInstance:
         m, n = A.shape
         if y.size != m:
             raise ValueError(f"y has length {y.size}, expected {m}")
+        with np.errstate(over="ignore"):
+            scale = float(np.linalg.norm(A)) * float(np.linalg.norm(y))
+        if not math.isfinite(scale):
+            raise ValueError("||A||_F * ||y|| overflows float64")
         if not is_count(self.k) or not 1 <= self.k <= min(m, n):
             raise ValueError(f"k={self.k} must be an integer in 1..min(m, n)={min(m, n)}")
         if self.truth is not None:

@@ -142,16 +142,22 @@ def solve_relaxed_ot(A, y, v, k):
     OBJECTIVE_REL_TOL for 8 steps running.  Returns (w, converged).  On
     non-convergence within MAX_INNER_ITER steps the best iterate found so far
     is returned with converged=False; the caller decides whether that is
-    acceptable.
+    acceptable.  Raises ValueError when A diag(v), its Gram, its product with y
+    or ||y||^2 overflows float64.
     """
     A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
 
-    B = A * v  # columns scaled by v
-    G = B.T @ B
-    c = B.T @ y
-    yy = float(y @ y)
-    L = float(np.linalg.eigvalsh(B @ B.T if m < n else G)[-1]) * 1.02
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = A * v  # columns scaled by v
+        G = B.T @ B
+        c = B.T @ y
+        yy = float(y @ y)
+        gram = B @ B.T if m < n else G
+    # G is finite only where B is
+    if not (math.isfinite(yy) and all(np.isfinite(M).all() for M in (G, c, gram))):
+        raise ValueError("A diag(v), its Gram, its product with y or ||y||^2 overflows float64")
+    L = float(np.linalg.eigvalsh(gram)[-1]) * 1.02
 
     w = np.full(n, k / n)  # feasible interior start
     if L <= 0.0:
@@ -246,18 +252,18 @@ def least_squares_on_support(A, y, support):
     """Least squares restricted to a support: min ||y - A x||_2 with supp(x) in support.
 
     support is a 1-d integer array of distinct column indices.  The normal
-    equations are solved by Cholesky: G = A_S^T A_S = L L^T and
-    x_S = L^-T L^-1 A_S^T y, then refined once with the true residual,
-    x_S += L^-T L^-1 A_S^T (y - A_S x_S).  L^T is the R factor of A_S, so
-    ||R||_F^2 = trace(G) and ||R^-1||_F = ||L^-1||_F, and their product
-    bounds cond(A_S) from above, as in the QR factor grown by OMP.  The
-    Cholesky path is taken only while that bound is at most LS_COND_MAX
-    (1e4): the first solve's error, about cond^2 eps, is then at most about
+    equations are solved with the inverse of G = A_S^T A_S: x_S = G^-1 A_S^T y,
+    then refined once with the true residual, x_S += G^-1 A_S^T (y - A_S x_S).
+    With R the R factor of A_S, trace(G) trace(G^-1) = (||R||_F ||R^-1||_F)^2
+    bounds cond(A_S)^2 from above, as in the QR factor grown by OMP.  This
+    path is taken only while that bound is in (0, LS_COND_MAX^2], LS_COND_MAX
+    = 1e4: the first solve's error, about cond^2 eps, is then at most about
     2e-8 relative, and the refinement step multiplies it by that factor again.
-    Otherwise, or when cholesky fails, the solve falls back to
-    np.linalg.lstsq, an SVD of A_S (LAPACK gelsd): when A_S is numerically
-    rank deficient (singular values below 1e-12 of the largest) the
-    minimum-norm solution is returned.
+    The bound must be positive since inv does not prove G definite: on an
+    exactly singular G it can return a garbage inverse of negative trace.
+    Otherwise, or when inv fails, np.linalg.lstsq (an SVD, LAPACK gelsd)
+    solves; when A_S is numerically rank deficient (singular values below
+    1e-12 of the largest) it returns the minimum-norm solution.
 
     Returns x.
     """
@@ -280,20 +286,19 @@ def least_squares_on_support(A, y, support):
 
     As = A[:, idx]
     x = np.zeros(n)
-    # entries near the float limits overflow G or L^-1; the bound then reads
+    # entries near the float limits overflow G or G^-1; the bound then reads
     # inf or nan, fails the test, and lstsq solves without the warning
     with np.errstate(over="ignore", invalid="ignore"):
         G = As.T @ As
         try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(G))
+            G_inv = np.linalg.inv(G)
         except np.linalg.LinAlgError:
             cond_bound2 = math.inf
         else:
-            l_inv = L_inv.ravel()
-            cond_bound2 = G.trace() * (l_inv @ l_inv)
-    if cond_bound2 <= LS_COND_MAX * LS_COND_MAX:
-        coef = L_inv.T @ (L_inv @ (As.T @ y))
-        coef += L_inv.T @ (L_inv @ (As.T @ (y - As @ coef)))
+            cond_bound2 = G.trace() * G_inv.trace()
+    if 0.0 < cond_bound2 <= LS_COND_MAX * LS_COND_MAX:
+        coef = G_inv @ (As.T @ y)
+        coef += G_inv @ (As.T @ (y - As @ coef))
         x[idx] = coef
         return x
     x[idx] = np.linalg.lstsq(As, y, rcond=1e-12)[0]

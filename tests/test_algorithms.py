@@ -245,20 +245,29 @@ class TestSharedBehaviour:
             assert len(result.trace.iterates) == result.iterations + starts
 
     @given(variant=st.sampled_from(ALL_VARIANTS), n=st.integers(4, 12),
-           log_scale=st.floats(-3, 100), log_alpha=st.floats(-3, 8),
+           log_scale=st.floats(-3, 300), log_alpha=st.floats(-3, 8),
            beta=st.floats(0, 10), seed=st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=200)
     def test_every_run_ends_in_a_stop_reason(self, variant, n, log_scale, log_alpha,
                                              beta, seed):
-        # A from 1e-3 to 1e100 and alpha up to 1e8, far outside any window: no
-        # floating-point error may escape run(), whichever way the run ends
+        # A from 1e-3 to 1e300 and alpha up to 1e8, far outside any window:
+        # construction refuses exactly the problems whose y or ||A||_F ||y||
+        # overflows, and no floating-point error may escape run() on any other,
+        # whichever way the run ends
         local = np.random.default_rng(seed)
         m = int(local.integers(2, n + 1))
         k = int(local.integers(1, min(m, 3) + 1))
         A = 10.0**log_scale * local.standard_normal((m, n))
         truth = np.zeros(n)
         truth[local.choice(n, size=k, replace=False)] = local.standard_normal(k)
-        problem = ProblemInstance(A=A, y=A @ truth, k=k, truth=truth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = A @ truth
+            scale = np.linalg.norm(A) * np.linalg.norm(y)
+        if not (np.isfinite(y).all() and np.isfinite(scale)):
+            with pytest.raises(ValueError, match="non-finite|overflows float64"):
+                ProblemInstance(A=A, y=y, k=k, truth=truth)
+            return
+        problem = ProblemInstance(A=A, y=y, k=k, truth=truth)
         max_iter = 8 if variant in ("hbrot", "hbrotp") else 30
         cfg = config_for(variant, alpha=10.0**log_alpha, beta=beta, max_iter=max_iter)
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -129,6 +129,16 @@ class TestProblemInstance:
             ProblemInstance(A=A, y=np.ones(10), k=6)
         ProblemInstance(A=A, y=np.ones(10), k=4)
 
+    def test_overflowing_scale_rejected(self, rng):
+        # at 1e200 every entry is finite but ||A||_F ||y|| is not; at 1e150
+        # the product is about 1e302
+        A = rng.standard_normal((6, 10))
+        truth = np.zeros(10)
+        truth[[2, 7]] = [1.0, -0.5]
+        with pytest.raises(ValueError, match="overflows float64"):
+            ProblemInstance(A=1e200 * A, y=(1e200 * A) @ truth, k=2)
+        ProblemInstance(A=1e150 * A, y=(1e150 * A) @ truth, k=2)
+
 
 class TestCsvRoundTrip:
     def test_matrix_exact(self, rng, tmp_path):
@@ -142,6 +152,14 @@ class TestCsvRoundTrip:
         path = tmp_path / "v.csv"
         save_vector_csv(path, v)
         np.testing.assert_array_equal(load_vector_csv(path), v)
+
+    def test_matrix_blank_lines_skipped(self, rng, tmp_path):
+        A = rng.normal(0, 1, (3, 2))
+        path = tmp_path / "A.csv"
+        save_matrix_csv(path, A)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", rows[0], "  ", *rows[1:], ""]) + "\n")
+        np.testing.assert_array_equal(load_matrix_csv(path), A)
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

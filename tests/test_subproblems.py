@@ -262,6 +262,22 @@ class TestRelaxedOT:
         assert not converged
         assert abs(w.sum() - 5) <= 1e-12  # still feasible
 
+    def test_overflowing_gram_refused(self, rng):
+        # at 1e160 the Gram of A diag(v) overflows: the solve refuses it by
+        # name, with no warning, instead of failing inside eigvalsh; at 1e100
+        # it still solves
+        A = rng.standard_normal((6, 10))
+        y = rng.standard_normal(6)
+        v = rng.standard_normal(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                solve_relaxed_ot(A, y, 1e160 * v, 3)
+            w, converged = solve_relaxed_ot(A, y, 1e100 * v, 3)
+        assert converged
+        assert abs(w.sum() - 3) <= 1e-12
+        assert w.min() >= 0 and w.max() <= 1
+
     @pytest.mark.parametrize("k", [True, 2.0, 2.5])
     def test_non_integer_k_rejected(self, rng, k):
         A, y, v = rng.standard_normal((4, 6)), rng.standard_normal(4), rng.standard_normal(6)
@@ -426,8 +442,9 @@ class TestLeastSquares:
         assert cert <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(y)
 
     def test_rank_deficient_returns_min_norm(self):
-        # G = A_S^T A_S is exactly singular: depending on round-off cholesky
-        # raises or returns a factor with a tiny pivot; both must fall back
+        # G = A_S^T A_S is exactly singular: depending on round-off a Cholesky
+        # factorisation of it raises or returns a factor with a tiny pivot, and
+        # these inputs reach both; the refit must fall back to lstsq on each
         outcomes = set()
         for seed in range(8):
             local = np.random.default_rng(seed)
@@ -448,6 +465,33 @@ class TestLeastSquares:
             # the minimum-norm solution splits the weight across the duplicates
             assert x[1] == pytest.approx(x[3], rel=1e-9)
         assert outcomes == {"factored", "raised"}
+
+    def test_singular_gram_falls_back_whatever_inv_returns(self):
+        # G = A_S^T A_S is exactly singular: depending on round-off inv raises,
+        # or returns an inverse whose bound trace(G) trace(G^-1) exceeds
+        # LS_COND_MAX^2, or one whose bound is <= 0; each must fall back
+        outcomes = set()
+        for seed in range(600):
+            local = np.random.default_rng(seed)
+            m = 5 + seed % 8
+            A = local.standard_normal((m, 6))
+            A[:, 3] = A[:, 1]
+            y = local.standard_normal(m)
+            S = np.array([0, 1, 3]) if seed % 2 else np.array([1, 3])
+            As = A[:, S]
+            G = As.T @ As
+            try:
+                bound = G.trace() * np.linalg.inv(G).trace()
+            except np.linalg.LinAlgError:
+                outcomes.add("raised")
+            else:
+                assert not 0.0 < bound <= LS_COND_MAX * LS_COND_MAX
+                outcomes.add("huge" if bound > 0.0 else "nonpositive")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = least_squares_on_support(A, y, S)
+            np.testing.assert_array_equal(x[S], np.linalg.lstsq(As, y, rcond=1e-12)[0])
+        assert outcomes == {"raised", "huge", "nonpositive"}
 
     def test_empty_support(self, rng):
         A = rng.standard_normal((4, 6))
@@ -517,7 +561,7 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_refinement_step_on_a_moderately_conditioned_support(self, seed):
-        # cond(A_S) about 3e3 stays on the Cholesky path; the normal equations
+        # cond(A_S) about 3e3 stays on the inverse-Gram path; the normal equations
         # alone are off by about cond^2 eps (1e-9), the refined solve is not
         local = np.random.default_rng(seed)
         A = local.standard_normal((30, 8))
@@ -525,8 +569,8 @@ class TestLeastSquares:
         A /= np.linalg.norm(A, axis=0)
         S = np.array([0, 2, 5, 7])
         As = A[:, S]
-        L_inv = np.linalg.inv(np.linalg.cholesky(As.T @ As))
-        assert np.linalg.norm(As) * np.linalg.norm(L_inv) < LS_COND_MAX
+        G = As.T @ As
+        assert G.trace() * np.linalg.inv(G).trace() < LS_COND_MAX * LS_COND_MAX
         assert np.linalg.cond(As) > 1e3
         truth = local.standard_normal(4)
         x = least_squares_on_support(A, As @ truth, S)
@@ -534,7 +578,7 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_extreme_scale_falls_back_without_warning(self, rng, scale):
-        # G = A_S^T A_S or L^-1 overflows; lstsq copes with the scale
+        # G = A_S^T A_S or G^-1 overflows; lstsq copes with the scale
         A = scale * rng.standard_normal((8, 5))
         y = rng.standard_normal(8)
         S = np.array([0, 2, 3])
