@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,14 +46,38 @@ def _exact(A, y, u, k, cfg):
     return u * w, 0
 
 
-def _relaxed(A, y, u, k, cfg):
-    """omega relaxed selections, each multiplying into u, then hard thresholding."""
+def _relaxed(A, y, u, k, cfg, stop_on_fit=False):
+    """omega relaxed selections, each multiplying into u, then hard thresholding.
+
+    With stop_on_fit (the refit variant) the last selection stops early once
+    the support hard thresholding would keep re-fits within cfg.residual_tol:
+    the outer step then re-fits on that support and the run stops there."""
     flags = 0
-    for _ in range(cfg.omega):
-        w, converged = solve_relaxed_ot(A, y, u, k)
+    for i in range(cfg.omega):
+        accept = _fits_tolerance(A, y, u, k, cfg) if stop_on_fit and i == cfg.omega - 1 else None
+        w, converged = solve_relaxed_ot(A, y, u, k, accept=accept)
         flags += 0 if converged else 1
         u = u * w
     return hard_threshold(u, k), flags
+
+
+def _fits_tolerance(A, y, u, k, cfg):
+    """Predicate on a relaxed iterate w: the least-squares refit on the support
+    of hard_threshold(u * w, k) leaves a residual norm within cfg.residual_tol.
+    The norm is formed as run() forms it, so a True is a stop of the outer loop.
+    A support equal to the last one asked about is not re-fitted: it did not
+    fit, or the solve would have stopped there."""
+    tried = None
+
+    def accept(w):
+        nonlocal tried
+        support = np.flatnonzero(hard_threshold(u * w, k))
+        if np.array_equal(support, tried):
+            return False
+        tried = support
+        x = least_squares_on_support(A, y, support)
+        return float(np.linalg.norm(y - A @ x)) <= cfg.residual_tol
+    return accept
 
 
 def _threshold(A, y, u, k, cfg):
@@ -68,7 +93,7 @@ _VARIANTS = {
     "hbot": (_exact, False, True),
     "hbotp": (_exact, True, True),
     "hbrot": (_relaxed, False, True),
-    "hbrotp": (_relaxed, True, True),
+    "hbrotp": (partial(_relaxed, stop_on_fit=True), True, True),
     "iht": (_threshold, False, False),
     "htp": (_threshold, True, False),
 }
@@ -115,8 +140,9 @@ class RunResult:
     stop_reason is "residual_tol", "stagnation", "max_iter" or "diverged": a
     bound on the Gram entries the next selection would form overflows, and
     x_final is the last iterate, which is finite.  inner_flags counts
-    relaxed-compression solves that hit their iteration cap without meeting
-    tolerance (the outer loop continues regardless).
+    relaxed-compression solves that hit their iteration cap, neither stalled
+    nor stopped early by the refit variant's fit test (the outer loop
+    continues regardless).
     """
 
     x_final: np.ndarray

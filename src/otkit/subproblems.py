@@ -21,6 +21,7 @@ BINARY_ENUM_MAX_N = 30
 # Stopping rules of solve_relaxed_ot (see its docstring), read at call time.
 MAX_INNER_ITER = 2000
 OBJECTIVE_REL_TOL = 1e-12
+ACCEPT_EVERY = 20
 
 # least_squares_on_support solves the normal equations only while
 # ||R||_F ||R^-1||_F, an upper bound on cond(A_S), is at most this.
@@ -119,7 +120,7 @@ def _selection_inputs(A, y, v, k):
     return A, y, v
 
 
-def solve_relaxed_ot(A, y, v, k):
+def solve_relaxed_ot(A, y, v, k, accept=None):
     """Minimise ||y - A (v*w)||^2 over the capped simplex {sum(w)=k, 0<=w<=1}.
 
     Accelerated projected gradient with a monotone restart: an accelerated
@@ -139,11 +140,15 @@ def solve_relaxed_ot(A, y, v, k):
     those of a loop that forms G z afresh up to round-off in that product.
 
     It stops converged once the relative objective change has stayed within
-    OBJECTIVE_REL_TOL for 8 steps running.  Returns (w, converged).  On
-    non-convergence within MAX_INNER_ITER steps the best iterate found so far
-    is returned with converged=False; the caller decides whether that is
-    acceptable.  Raises ValueError when A diag(v), its Gram, its product with y
-    or ||y||^2 overflows float64.
+    OBJECTIVE_REL_TOL for 8 steps running.  accept is an optional predicate
+    on the iterate, asked after every ACCEPT_EVERY-th step (never before
+    step ACCEPT_EVERY) with the current w: at its first True the solve stops
+    and returns that w as converged, since the caller has judged it good
+    enough.  Returns (w, converged), so converged=True means the objective
+    stalled or accept held.  On neither within MAX_INNER_ITER steps the best
+    iterate found so far is returned with converged=False; the caller decides
+    whether that is acceptable.  Raises ValueError when A diag(v), its Gram,
+    its product with y or ||y||^2 overflows float64.
     """
     A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
@@ -173,7 +178,7 @@ def solve_relaxed_ot(A, y, v, k):
     t_mom = 1.0
     stall = 0
     lam = None  # shift of the last projection, the next one's starting guess
-    for _ in range(MAX_INNER_ITER):
+    for step in range(1, MAX_INNER_ITER + 1):
         z = zk - (Gz - c) / L
         w_new = project_capped_simplex(z, k, shift=lam)
         inside = (w_new > 0.0) & (w_new < 1.0)
@@ -193,6 +198,8 @@ def solve_relaxed_ot(A, y, v, k):
         Gz = Gw_new + mom * (Gw_new - Gw)
         w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
         if stall >= 8:
+            return w, True
+        if accept is not None and step % ACCEPT_EVERY == 0 and accept(w):
             return w, True
     return w, False
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import algorithms
+from otkit import algorithms, subproblems
 from otkit.algorithms import (ALL_VARIANTS, AlgorithmConfig, _search_point,
                               config_for, run)
 from otkit.bench import EnsembleSpec, equiangular_frame, generate_instance
@@ -175,6 +175,78 @@ class TestRelaxedVariants:
         result = run(problem, config_for("hbrot", alpha=1.0, beta=0.1,
                                          omega=2, max_iter=40))
         assert all(np.count_nonzero(x) <= 4 for x in result.trace.iterates)
+
+
+class TestRefitStop:
+    """hbrotp's last relaxed solve of a step stops once the support it would
+    keep re-fits within the residual tolerance."""
+
+    @staticmethod
+    def predicates_asked(monkeypatch, variant, **overrides):
+        """Run variant on a small instance; return the accept predicate each
+        relaxed solve received, in call order."""
+        solve, received = algorithms.solve_relaxed_ot, []
+
+        def recording(A, y, v, k, accept=None):
+            received.append(accept)
+            return solve(A, y, v, k, accept=accept)
+
+        monkeypatch.setattr(algorithms, "solve_relaxed_ot", recording)
+        A, y, truth = gaussian_instance(np.random.default_rng(17), 24, 48, 4)
+        # a zero tolerance keeps the run going for all its steps
+        run(ProblemInstance(A=A, y=y, k=4, truth=truth),
+            config_for(variant, alpha=1.0, beta=0.1, max_iter=3, residual_tol=0.0,
+                       **overrides))
+        return received
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_same_result_in_fewer_steps(self, seed, monkeypatch):
+        problem = generate_instance(EnsembleSpec(n=128, kappa=0.5, rho=0.15, seed=seed))
+        project, steps = subproblems.project_capped_simplex, [0]
+
+        def counting(*args, **kwargs):
+            steps[0] += 1
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(subproblems, "project_capped_simplex", counting)
+        stopped = run(problem, config_for("hbrotp"))
+        stopped_steps, steps[0] = steps[0], 0
+        monkeypatch.setattr(algorithms, "_fits_tolerance", lambda *args: None)
+        full = run(problem, config_for("hbrotp"))
+        assert stopped.x_final.tobytes() == full.x_final.tobytes()
+        assert stopped.stop_reason == full.stop_reason == "residual_tol"
+        assert stopped_steps < steps[0]
+
+    @pytest.mark.parametrize("omega", [1, 2])
+    def test_only_the_last_compression_is_asked(self, omega, monkeypatch):
+        received = self.predicates_asked(monkeypatch, "hbrotp", omega=omega)
+        assert len(received) >= 2 * omega
+        for i, p in enumerate(received):
+            assert callable(p) if i % omega == omega - 1 else p is None
+
+    def test_predicate_refits_each_new_support_once(self, monkeypatch):
+        A, y, truth = gaussian_instance(np.random.default_rng(3), 24, 48, 4)
+        refit, supports = algorithms.least_squares_on_support, []
+
+        def recording(A, y, support):
+            supports.append(support.tolist())
+            return refit(A, y, support)
+
+        monkeypatch.setattr(algorithms, "least_squares_on_support", recording)
+        u = np.arange(1.0, 49.0)
+        accept = algorithms._fits_tolerance(A, y, u, 4, config_for("hbrotp"))
+        wrong, other, right = np.zeros(48), np.zeros(48), np.zeros(48)
+        wrong[:4] = other[4:8] = 1.0
+        right[np.flatnonzero(truth)] = 1.0
+        # a support asked about again is not re-fitted, and keeps its answer
+        assert [accept(wrong), accept(wrong), accept(other), accept(wrong)] == [False] * 4
+        assert supports == [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 2, 3]]
+        assert accept(right) and supports[-1] == np.flatnonzero(truth).tolist()
+
+    @pytest.mark.parametrize("omega", [1, 2])
+    def test_hbrot_is_never_asked(self, omega, monkeypatch):
+        received = self.predicates_asked(monkeypatch, "hbrot", omega=omega)
+        assert len(received) >= omega and all(p is None for p in received)
 
 
 class TestSharedBehaviour:
@@ -433,13 +505,34 @@ class TestInnerSolveLookup:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(algorithms, name, counting)
+        # hbrotp's relaxed solve asks a predicate that re-fits each support
+        # it has not just been asked about; count those supports beneath
+        # whichever patch this case installed
+        solve, new_supports = algorithms.solve_relaxed_ot, []
+
+        def counting_new_supports(A, y, v, k, accept=None):
+            if accept is not None:
+                asked = None
+
+                def accept(w, test=accept):
+                    nonlocal asked
+                    support = np.flatnonzero(hard_threshold(v * w, k))
+                    if not np.array_equal(support, asked):
+                        new_supports.append(support)
+                    asked = support
+                    return test(w)
+            return solve(A, y, v, k, accept=accept)
+
+        monkeypatch.setattr(algorithms, "solve_relaxed_ot", counting_new_supports)
         local = np.random.default_rng(42)
         A, y, truth = gaussian_instance(local, 12, 20, 3)
         problem = ProblemInstance(A=A, y=y, k=3, truth=truth)
         result = run(problem, config_for(variant, alpha=1.0, beta=0.1, max_iter=5,
                                          residual_tol=0.0))
         assert result.iterations > 0
-        assert len(calls) == result.iterations
+        assert bool(new_supports) == (variant == "hbrotp")
+        refits_in_solves = len(new_supports) if name == "least_squares_on_support" else 0
+        assert len(calls) == result.iterations + refits_in_solves
 
 
 class TestConfig:

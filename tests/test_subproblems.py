@@ -13,8 +13,8 @@ from otkit.bounds import ric_exact
 from otkit.core import top_k_indices
 from otkit.errors import EnumerationGuardError
 from otkit.selftest import bisection_projection, enumeration_binary_ot
-from otkit.subproblems import (LS_COND_MAX, MAX_INNER_ITER, OBJECTIVE_REL_TOL,
-                               least_squares_on_support,
+from otkit.subproblems import (ACCEPT_EVERY, LS_COND_MAX, MAX_INNER_ITER,
+                               OBJECTIVE_REL_TOL, least_squares_on_support,
                                project_capped_simplex, solve_binary_ot,
                                solve_relaxed_ot)
 
@@ -285,6 +285,86 @@ class TestRelaxedOT:
             solve_relaxed_ot(A, y, v, k)
         np.testing.assert_array_equal(solve_relaxed_ot(A, y, v, np.int64(2))[0],
                                       solve_relaxed_ot(A, y, v, 2)[0])
+
+
+def counted_steps(monkeypatch):
+    """Patch the projection the solve looks up so that each FISTA step, which
+    projects once, appends to the returned list."""
+    steps, project = [], otkit.subproblems.project_capped_simplex
+
+    def counting(*args, **kwargs):
+        steps.append(None)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", counting)
+    return steps
+
+
+class TestAcceptPredicate:
+    @staticmethod
+    def capped_instance():
+        # this solve runs all MAX_INNER_ITER steps without stalling
+        A, y, _ = gaussian_instance(np.random.default_rng(302), 32, 64, 5)
+        return A, y, 5.0 * (A.T @ y), 5
+
+    def test_asked_every_accept_every_steps_with_the_current_iterate(self, monkeypatch):
+        A, y, v, k = self.capped_instance()
+        steps = counted_steps(monkeypatch)
+        asked = []
+        w, converged = solve_relaxed_ot(A, y, v, k,
+                                        accept=lambda w: asked.append((len(steps), w.copy())))
+        assert [step for step, _ in asked] == list(range(ACCEPT_EVERY, MAX_INNER_ITER + 1,
+                                                         ACCEPT_EVERY))
+        # the iterate asked about at step s is the one a solve capped at s returns
+        for step, w_asked in (asked[0], asked[1], asked[4], asked[-1]):
+            monkeypatch.setattr(otkit.subproblems, "MAX_INNER_ITER", step)
+            w_capped, capped_converged = solve_relaxed_ot(A, y, v, k)
+            assert not capped_converged
+            assert w_asked.tobytes() == w_capped.tobytes()
+        assert not converged and w.tobytes() == asked[-1][1].tobytes()
+
+    def test_first_true_returns_that_iterate_converged(self, monkeypatch):
+        A, y, v, k = self.capped_instance()
+        steps = counted_steps(monkeypatch)
+        asked = []
+
+        def accept(w):
+            asked.append(w.copy())
+            return len(asked) == 3
+
+        w, converged = solve_relaxed_ot(A, y, v, k, accept=accept)
+        assert converged
+        assert len(asked) == 3 and len(steps) == 3 * ACCEPT_EVERY
+        assert w.tobytes() == asked[-1].tobytes()
+
+    def test_stall_before_the_first_ask_never_asks(self, monkeypatch):
+        # A = I and y a binary selector on the capped simplex: the objective
+        # stalls at its minimum within a dozen steps
+        n, k = 8, 3
+        y = np.zeros(n)
+        y[:k] = 1.0
+        steps = counted_steps(monkeypatch)
+        asked = []
+        w, converged = solve_relaxed_ot(np.eye(n), y, np.ones(n), k,
+                                        accept=lambda w: asked.append(w) or True)
+        assert converged and len(steps) < ACCEPT_EVERY
+        assert asked == []
+        np.testing.assert_allclose(w, y, atol=1e-9)
+
+    def test_no_predicate_matches_two_product_loop(self):
+        # accept=None, and a predicate that never holds, leave every iterate
+        # and flag as the two-product reference loop has them
+        m, n, k = 32, 64, 5
+        for seed in (300, 302, 303, 304):
+            A, y, _ = gaussian_instance(np.random.default_rng(seed), m, n, k)
+            v = 5.0 * (A.T @ y)
+            w, converged = solve_relaxed_ot(A, y, v, k, accept=None)
+            w_ref, converged_ref = two_product_relaxed_ot(A, y, v, k)
+            assert converged == converged_ref
+            np.testing.assert_array_equal(top_k_indices(v * w, k), top_k_indices(v * w_ref, k))
+            assert np.abs(w - w_ref).max() <= 1e-6
+            w_never, converged_never = solve_relaxed_ot(A, y, v, k, accept=lambda w: False)
+            assert (w_never.tobytes(), converged_never) == (w.tobytes(), converged)
 
 
 @pytest.mark.parametrize("solver", [solve_relaxed_ot, solve_binary_ot])
