@@ -19,17 +19,13 @@ import numpy as np
 # top_k_indices is not called here, but instrumentation patches this name too
 from .core import (IterateTrace, ProblemInstance, hard_threshold, is_count,
                    top_k_indices)  # noqa: F401
-from .subproblems import (least_squares_on_support, solve_binary_ot,
-                          solve_relaxed_ot)
+from .subproblems import (LS_ERROR_MAX, least_squares_on_support,
+                          solve_binary_ot, solve_relaxed_ot)
 
 # Numerical fixed-point detection: stop after this many consecutive
 # iterations with ||x_next - x|| <= STAGNATION_RTOL * (1 + ||x||).
 STAGNATION_RTOL = 1e-14
 STAGNATION_RUNS = 3
-
-# OMP solves through its grown QR factor only while ||R||_F ||R^-1||_F, an
-# upper bound on the condition number of the selected columns, is at most this.
-OMP_COND_MAX = 1e8
 
 
 def _search_point(A, r, x, x_prev, alpha, beta):
@@ -176,7 +172,7 @@ def _run_omp(problem, cfg):
     column a step: Gram-Schmidt with one reorthogonalisation pass, and R^-1
     bordered alongside, so x_S = R^-1 Q^T y costs O(mk) a step.  Since
     ||R||_F ||R^-1||_F bounds cond(A_S) from above, while it stays at most
-    OMP_COND_MAX the columns are far from the rank rule of
+    LS_ERROR_MAX the columns are far from the rank rule of
     least_squares_on_support and both give its unique solution.  Once it
     does not, or an atom lies exactly in the span already selected, this and
     every later step calls least_squares_on_support (minimum-norm solution).
@@ -208,12 +204,12 @@ def _run_omp(problem, cfg):
             r_fro2 += float(h @ h) + diag * diag
             # ||R^-1||_F >= 1/diag, so this necessary condition is tested
             # first: a near-zero diag then never divides into an overflow
-            factored = diag > 0.0 and diag * OMP_COND_MAX >= math.sqrt(r_fro2)
+            factored = diag > 0.0 and diag * LS_ERROR_MAX >= math.sqrt(r_fro2)
         if factored:
             inv = 1.0 / diag  # bordered inverse: [[R, h], [0, diag]]^-1
             col = -(R_inv[:j, :j] @ h) * inv
             r_inv_fro2 += float(col @ col) + inv * inv
-            factored = math.sqrt(r_fro2 * r_inv_fro2) <= OMP_COND_MAX
+            factored = math.sqrt(r_fro2 * r_inv_fro2) <= LS_ERROR_MAX
         if factored:
             Qt[j] = v * inv
             R_inv[:j, j], R_inv[j, j] = col, inv

@@ -23,9 +23,11 @@ MAX_INNER_ITER = 2000
 OBJECTIVE_REL_TOL = 1e-12
 ACCEPT_EVERY = 20
 
-# least_squares_on_support solves the normal equations only while
-# ||R||_F ||R^-1||_F, an upper bound on cond(A_S), is at most this.
-LS_COND_MAX = 1e4
+# The fast least-squares paths, the normal equations here and OMP's grown QR
+# factor, solve only while a bound on their first solve's error factor, in
+# units of eps, is at most this: cond(A_S)^2 <= trace(G) trace(G^-1) for the
+# normal equations, cond(A_S) <= ||R||_F ||R^-1||_F for the QR factor.
+LS_ERROR_MAX = 1e8
 
 
 def project_capped_simplex(v, k, shift=None):
@@ -133,11 +135,13 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     shift, so the Newton projection usually needs a single pass.  The guess
     changes only that pass count, not the projection beyond round-off.
 
-    One Gram product per step: the gradient at the search point
-    z = w + m (w - w_prev) is G z - c, and G z = G w + m (G w - G w_prev) is
-    carried through the same recurrence from the products G w the objective
-    needs anyway (after a restart m = 0 and G z = G w).  The iterates equal
-    those of a loop that forms G z afresh up to round-off in that product.
+    The loop runs on the residual r = B w - y of B = A diag(v) and never forms
+    the n x n Gram: the objective is r @ r, and the gradient at the search
+    point z = w + m (w - w_prev) is B^T r_z, where r_z = r + m (r - r_prev)
+    is carried through the same recurrence from the residuals the objective
+    needs anyway (after a restart m = 0 and r_z = r).  A step costs the two
+    products B w and B^T r_z, 2mn multiply-adds, and the solve holds O(mn)
+    memory.
 
     It stops converged once the relative objective change has stayed within
     OBJECTIVE_REL_TOL for 8 steps running.  accept is an optional predicate
@@ -147,56 +151,50 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     enough.  Returns (w, converged), so converged=True means the objective
     stalled or accept held.  On neither within MAX_INNER_ITER steps the best
     iterate found so far is returned with converged=False; the caller decides
-    whether that is acceptable.  Raises ValueError when A diag(v), its Gram,
-    its product with y or ||y||^2 overflows float64.
+    whether that is acceptable.  Raises ValueError, with no warning, when the
+    Gram of A diag(v) or the starting objective ||B w0 - y||^2 overflows
+    float64.
     """
     A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
+    w = np.full(n, k / n)  # feasible interior start
 
     with np.errstate(over="ignore", invalid="ignore"):
         B = A * v  # columns scaled by v
-        G = B.T @ B
-        c = B.T @ y
-        yy = float(y @ y)
-        gram = B @ B.T if m < n else G
-    # G is finite only where B is
-    if not (math.isfinite(yy) and all(np.isfinite(M).all() for M in (G, c, gram))):
-        raise ValueError("A diag(v), its Gram, its product with y or ||y||^2 overflows float64")
+        gram = B @ B.T if m < n else B.T @ B
+        r = B @ w - y
+        fw = float(r @ r)
+    # the Gram is finite only where B is
+    if not (math.isfinite(fw) and np.isfinite(gram).all()):
+        raise ValueError("the Gram of A diag(v) or ||A (v*w0) - y||^2 overflows float64")
     L = float(np.linalg.eigvalsh(gram)[-1]) * 1.02
-
-    w = np.full(n, k / n)  # feasible interior start
     if L <= 0.0:
         # v = 0 (or A v = 0): objective constant, any feasible point optimal.
         return w, True
 
-    def objective(w_, Gw_):
-        return yy - 2.0 * float(c @ w_) + float(w_ @ Gw_)
-
-    Gw = G @ w
-    fw = objective(w, Gw)
-    zk, Gz = w, Gw  # search point and its Gram product
+    zk, rz = w, r  # search point and its residual
     t_mom = 1.0
     stall = 0
     lam = None  # shift of the last projection, the next one's starting guess
     for step in range(1, MAX_INNER_ITER + 1):
-        z = zk - (Gz - c) / L
+        z = zk - (B.T @ rz) / L
         w_new = project_capped_simplex(z, k, shift=lam)
         inside = (w_new > 0.0) & (w_new < 1.0)
         i = int(inside.argmax())
         if inside[i]:
             lam = float(z[i] - w_new[i])
-        Gw_new = G @ w_new
-        f_new = objective(w_new, Gw_new)
+        r_new = B @ w_new - y
+        f_new = float(r_new @ r_new)
         if f_new > fw:  # monotone restart
-            w_new, Gw_new, f_new = w, Gw, fw
+            w_new, r_new, f_new = w, r, fw
             t_mom = 1.0
-        rel_drop = abs(fw - f_new) / max(1.0, abs(fw))
+        rel_drop = abs(fw - f_new) / max(1.0, fw)
         stall = stall + 1 if rel_drop <= OBJECTIVE_REL_TOL else 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         mom = (t_mom - 1.0) / t_next
         zk = w_new + mom * (w_new - w)
-        Gz = Gw_new + mom * (Gw_new - Gw)
-        w, Gw, fw, t_mom = w_new, Gw_new, f_new, t_next
+        rz = r_new + mom * (r_new - r)
+        w, r, fw, t_mom = w_new, r_new, f_new, t_next
         if stall >= 8:
             return w, True
         if accept is not None and step % ACCEPT_EVERY == 0 and accept(w):
@@ -263,8 +261,8 @@ def least_squares_on_support(A, y, support):
     then refined once with the true residual, x_S += G^-1 A_S^T (y - A_S x_S).
     With R the R factor of A_S, trace(G) trace(G^-1) = (||R||_F ||R^-1||_F)^2
     bounds cond(A_S)^2 from above, as in the QR factor grown by OMP.  This
-    path is taken only while that bound is in (0, LS_COND_MAX^2], LS_COND_MAX
-    = 1e4: the first solve's error, about cond^2 eps, is then at most about
+    path is taken only while that bound is in (0, LS_ERROR_MAX], LS_ERROR_MAX
+    = 1e8: the first solve's error, about cond^2 eps, is then at most about
     2e-8 relative, and the refinement step multiplies it by that factor again.
     The bound must be positive since inv does not prove G definite: on an
     exactly singular G it can return a garbage inverse of negative trace.
@@ -303,7 +301,7 @@ def least_squares_on_support(A, y, support):
             cond_bound2 = math.inf
         else:
             cond_bound2 = G.trace() * G_inv.trace()
-    if 0.0 < cond_bound2 <= LS_COND_MAX * LS_COND_MAX:
+    if 0.0 < cond_bound2 <= LS_ERROR_MAX:
         coef = G_inv @ (As.T @ y)
         coef += G_inv @ (As.T @ (y - As @ coef))
         x[idx] = coef

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from otkit.bounds import ric_exact
 from otkit.core import top_k_indices
 from otkit.errors import EnumerationGuardError
 from otkit.selftest import bisection_projection, enumeration_binary_ot
-from otkit.subproblems import (ACCEPT_EVERY, LS_COND_MAX, MAX_INNER_ITER,
+from otkit.subproblems import (ACCEPT_EVERY, LS_ERROR_MAX, MAX_INNER_ITER,
                                OBJECTIVE_REL_TOL, least_squares_on_support,
                                project_capped_simplex, solve_binary_ot,
                                solve_relaxed_ot)
@@ -137,10 +138,11 @@ class TestBisectionOracle:
 
 
 def two_product_relaxed_ot(A, y, v, k):
-    """solve_relaxed_ot as a loop that forms the Gram product at the search
-    point afresh each step: two products G @ z and G @ w per step, the shift
-    read off with flatnonzero.  The projection is shared: its closing
-    minimum/maximum equals np.clip in value."""
+    """solve_relaxed_ot's iteration in its Gram form, written independently of
+    the residual loop: G = B^T B, c = B^T y, the objective expanded as
+    ||y||^2 - 2 c.w + w.G w, and the two products G @ z and G @ w formed afresh
+    each step, the shift read off with flatnonzero.  The projection is shared:
+    its closing minimum/maximum equals np.clip in value."""
     B = A * v
     G = B.T @ B
     c = B.T @ y
@@ -178,7 +180,8 @@ def two_product_relaxed_ot(A, y, v, k):
 
 class TestRelaxedOT:
     def test_one_product_step_matches_two_product_loop(self):
-        # carrying G z through the momentum recurrence changes round-off only
+        # the residual loop, which carries r_z through the momentum recurrence,
+        # and the Gram-form reference differ in round-off only
         m, n, k = 32, 64, 5
         flags = []
         for seed in range(20):
@@ -263,9 +266,10 @@ class TestRelaxedOT:
         assert abs(w.sum() - 5) <= 1e-12  # still feasible
 
     def test_overflowing_gram_refused(self, rng):
-        # at 1e160 the Gram of A diag(v) overflows: the solve refuses it by
-        # name, with no warning, instead of failing inside eigvalsh; at 1e100
-        # it still solves
+        # with v at 1e160 the Gram of A diag(v) overflows, and with y at 1e160
+        # the starting objective does: the solve refuses either by name, with
+        # no warning, instead of failing inside eigvalsh; with v at 1e100 it
+        # still solves
         A = rng.standard_normal((6, 10))
         y = rng.standard_normal(6)
         v = rng.standard_normal(10)
@@ -273,10 +277,25 @@ class TestRelaxedOT:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 solve_relaxed_ot(A, y, 1e160 * v, 3)
+            with pytest.raises(ValueError, match="overflows"):
+                solve_relaxed_ot(A, 1e160 * y, v, 3)
             w, converged = solve_relaxed_ot(A, y, 1e100 * v, 3)
         assert converged
         assert abs(w.sum() - 3) <= 1e-12
         assert w.min() >= 0 and w.max() <= 1
+
+    def test_holds_no_n_by_n_matrix(self, rng, monkeypatch):
+        # at n = 5,000 an n x n float64 matrix is 200 MB; B = A diag(v) is 320 kB
+        m, n, k = 8, 5000, 2
+        A, y, v = rng.standard_normal((m, n)), rng.standard_normal(m), rng.standard_normal(n)
+        monkeypatch.setattr(otkit.subproblems, "MAX_INNER_ITER", 5)
+        tracemalloc.start()
+        try:
+            solve_relaxed_ot(A, y, v, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     @pytest.mark.parametrize("k", [True, 2.0, 2.5])
     def test_non_integer_k_rejected(self, rng, k):
@@ -549,7 +568,7 @@ class TestLeastSquares:
     def test_singular_gram_falls_back_whatever_inv_returns(self):
         # G = A_S^T A_S is exactly singular: depending on round-off inv raises,
         # or returns an inverse whose bound trace(G) trace(G^-1) exceeds
-        # LS_COND_MAX^2, or one whose bound is <= 0; each must fall back
+        # LS_ERROR_MAX, or one whose bound is <= 0; each must fall back
         outcomes = set()
         for seed in range(600):
             local = np.random.default_rng(seed)
@@ -565,7 +584,7 @@ class TestLeastSquares:
             except np.linalg.LinAlgError:
                 outcomes.add("raised")
             else:
-                assert not 0.0 < bound <= LS_COND_MAX * LS_COND_MAX
+                assert not 0.0 < bound <= LS_ERROR_MAX
                 outcomes.add("huge" if bound > 0.0 else "nonpositive")
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -632,7 +651,7 @@ class TestLeastSquares:
         A /= np.linalg.norm(A, axis=0)
         y = rng.standard_normal(30)
         S = np.array([0, 2, 5, 7])
-        assert LS_COND_MAX < np.linalg.cond(A[:, S]) < 1e7
+        assert LS_ERROR_MAX < np.linalg.cond(A[:, S]) ** 2 < 1e14
         x = least_squares_on_support(A, y, S)
         expected, _, rank, _ = np.linalg.lstsq(A[:, S], y, rcond=1e-12)
         assert rank == 4
@@ -650,7 +669,7 @@ class TestLeastSquares:
         S = np.array([0, 2, 5, 7])
         As = A[:, S]
         G = As.T @ As
-        assert G.trace() * np.linalg.inv(G).trace() < LS_COND_MAX * LS_COND_MAX
+        assert G.trace() * np.linalg.inv(G).trace() < LS_ERROR_MAX
         assert np.linalg.cond(As) > 1e3
         truth = local.standard_normal(4)
         x = least_squares_on_support(A, As @ truth, S)
