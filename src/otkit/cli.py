@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, recover, grid, ptc, bounds, ric, selftest.  Exit codes are
-a stable scripting contract: 0 success, 2 argument error, 3 window/guard
-failure, 4 I/O failure.  Every run prints its resolved configuration first.
-The base seed is --seed, default 0, so gen, grid and ptc output is a pure
-function of the flags.
+a stable scripting contract: 0 success, 1 a failed selftest check, 2 argument
+error, 3 window/guard failure, 4 I/O failure.  Every run prints its resolved
+configuration first.  The base seed is --seed, default 0, so gen, grid and ptc
+output is a pure function of the flags.
 """
 
 from __future__ import annotations

@@ -58,8 +58,8 @@ def top_k_indices(v, k):
 
 def hard_threshold(v, k):
     """Keep the k largest-magnitude entries of v, zero the rest."""
-    v = as_vector(v)
-    keep = top_k_indices(v, k)
+    keep = top_k_indices(v, k)  # checks v and k
+    v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
     out[keep] = v[keep]
     return out

@@ -113,7 +113,7 @@ def check_hard_threshold_best(rng):
 
 def check_projection(rng):
     """Projection matches the bisection oracle, from no starting shift and from
-    a random one; feasibility is exact."""
+    a random one; feasibility is exact; the returned shift rebuilds w bit for bit."""
     worst = 0.0
     worst_mass = 0.0
     for _ in range(200):
@@ -124,7 +124,10 @@ def check_projection(rng):
         # a random start taken from v, not drawn, so that the checks after
         # this one draw the same inputs
         shift = float(v[0]) - 0.5
-        for w in (project_capped_simplex(v, k), project_capped_simplex(v, k, shift=shift)):
+        for w, lam in (project_capped_simplex(v, k), project_capped_simplex(v, k, shift=shift)):
+            if np.minimum(np.maximum(v - lam, 0.0), 1.0).tobytes() != w.tobytes():
+                return CheckResult("capped_simplex_projection", False,
+                                   f"shift {lam!r} does not rebuild w")
             worst = max(worst, float(np.abs(w - ref).max()))
             worst_mass = max(worst_mass, abs(float(w.sum()) - k))
             if w.min() < 0 or w.max() > 1:
@@ -245,7 +248,7 @@ def check_block_mass(rng):
     for _ in range(60):
         n = int(rng.integers(4, 40))
         k = int(rng.integers(1, n + 1))
-        w = project_capped_simplex(rng.normal(0, 2, n), k)
+        w, _ = project_capped_simplex(rng.normal(0, 2, n), k)
         size = int(rng.integers(1, n + 1))
         lam = list(rng.choice(n, size=size, replace=False))
         total = 0.0

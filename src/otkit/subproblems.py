@@ -42,23 +42,24 @@ def project_capped_simplex(v, k, shift=None):
     Safeguarded Newton iteration on lam: each pass finds the face at lam and
     solves that face's mass equation exactly, lam' = (sum(v_F) + |U| - k) / |F|.
     Once the face at lam' is the one lam' was solved on (no breakpoint lies
-    between lam and lam'), lam' is the exact shift and clip(v - lam', 0, 1)
-    is returned.  A bracket lo < lam < hi kept from the sign of the mass
-    error catches steps that leave it and replaces them, as it does a step on
-    a face with no free coordinate, by the median breakpoint inside the
-    bracket; every bisection halves the breakpoints left, so the loop ends.
+    between lam and lam'), lam' is the exact shift.  A bracket lo < lam < hi
+    kept from the sign of the mass error catches steps that leave it and
+    replaces them, as it does a step on a face with no free coordinate, by the
+    median breakpoint inside the bracket; every bisection halves the
+    breakpoints left, so the loop ends.
 
-    shift is an optional starting guess for lam, typically the shift of the
-    previous projection in a sequence of nearby ones.  It changes only the
-    number of passes (usually one, from a good guess); the result is the same
-    to round-off.
+    Returns (w, lam): lam formed w, which is np.minimum(np.maximum(v - lam,
+    0.0), 1.0) bit for bit, and k == n returns (ones, -inf).  shift is an
+    optional starting guess for lam, such as the lam of the previous
+    projection in a sequence of nearby ones: it changes only the number of
+    passes (usually one, from a good guess), and the result only to round-off.
     """
     v = as_vector(v)
     n = v.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
     if k == n:
-        return np.ones(n)
+        return np.ones(n), -math.inf
 
     lam = (float(v.sum()) - k) / n if shift is None else float(shift)
     if not math.isfinite(lam):
@@ -95,8 +96,8 @@ def project_capped_simplex(v, k, shift=None):
             continue
         # No breakpoint inside the bracket: the mass is linear on it, and the
         # face at its midpoint is the face of the solution.
-        mid = 0.5 * (lo + hi)
-        d = v - mid
+        lam = 0.5 * (lo + hi)
+        d = v - lam
         free = (d > 0.0) & (d < 1.0)
         n_free = int(np.count_nonzero(free))
         if n_free:
@@ -104,8 +105,7 @@ def project_capped_simplex(v, k, shift=None):
             d = v - lam
         break
     # minimum(maximum()) is clip without its Python wrapper; d is a fresh array
-    np.maximum(d, 0.0, out=d)
-    return np.minimum(d, 1.0, out=d)
+    return np.minimum(np.maximum(d, 0.0, out=d), 1.0, out=d), lam
 
 
 def _selection_inputs(A, y, v, k):
@@ -130,10 +130,9 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     reset, so accepted objectives never increase.  The step is 1/L, with L the
     exact top eigenvalue of (A diag(v))^T (A diag(v)) times a 1.02 margin;
     eigvalsh reads it from the smaller of the two Gram matrices.  Each
-    projection starts from the shift of the previous one, read off a free
-    coordinate of its result; consecutive iterates share nearly the same
-    shift, so the Newton projection usually needs a single pass.  The guess
-    changes only that pass count, not the projection beyond round-off.
+    projection starts from the shift the previous one returned; consecutive
+    iterates share nearly the same shift, so the Newton projection usually
+    needs a single pass.
 
     The loop runs on the residual r = B w - y of B = A diag(v) and never forms
     the n x n Gram: the objective is r @ r, and the gradient at the search
@@ -178,11 +177,7 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     lam = None  # shift of the last projection, the next one's starting guess
     for step in range(1, MAX_INNER_ITER + 1):
         z = zk - (B.T @ rz) / L
-        w_new = project_capped_simplex(z, k, shift=lam)
-        inside = (w_new > 0.0) & (w_new < 1.0)
-        i = int(inside.argmax())
-        if inside[i]:
-            lam = float(z[i] - w_new[i])
+        w_new, lam = project_capped_simplex(z, k, shift=lam)
         r_new = B @ w_new - y
         f_new = float(r_new @ r_new)
         if f_new > fw:  # monotone restart
@@ -278,7 +273,7 @@ def least_squares_on_support(A, y, support):
     if y.size != m:
         raise ValueError(f"y has length {y.size}, expected {m}")
     idx = np.asarray(support)
-    if idx.size == 0:
+    if idx.ndim == 1 and idx.size == 0:  # [] reads as float
         return np.zeros(n)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError(f"support must be a 1-d integer array, got {idx.dtype} of shape {idx.shape}")

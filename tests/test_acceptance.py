@@ -120,7 +120,7 @@ def test_criterion_5_projection_exactness():
         n = int(rng.integers(2, 50))
         k = int(rng.integers(1, n + 1))
         v = rng.normal(0, float(rng.uniform(0.1, 10.0)), n)
-        w = project_capped_simplex(v, k)
+        w, _ = project_capped_simplex(v, k)
         ref = bisection_projection(v, k)
         worst_dev = max(worst_dev, float(np.abs(w - ref).max()))
         worst_mass = max(worst_mass, abs(float(w.sum()) - k))
@@ -278,7 +278,7 @@ def test_criterion_9_inequality_suite():
     for _ in range(500):
         n = int(rng.integers(4, 40))
         k = int(rng.integers(1, n + 1))
-        w = project_capped_simplex(rng.normal(0, 2, n), k)
+        w, _ = project_capped_simplex(rng.normal(0, 2, n), k)
         lam = list(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         total = 0.0
         rest = sorted(lam, key=lambda i: -abs(w[i]))

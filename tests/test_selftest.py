@@ -16,12 +16,12 @@ def zero_profile(A, k):
 # (check, name it looks up in otkit.selftest, broken stand-in, check's name)
 BROKEN = [
     (selftest.check_projection, "project_capped_simplex",
-     lambda v, k, shift=None: v - 5.0, "capped_simplex_projection"),
+     lambda v, k, shift=None: (v - 5.0, 5.0), "capped_simplex_projection"),
     (selftest.check_sparse_lower_isometry, "ric_profile", zero_profile,
      "sparse_lower_isometry"),
     (selftest.check_masked_gram_bound, "ric_profile", zero_profile, "masked_gram_bound"),
     (selftest.check_block_mass, "project_capped_simplex",
-     lambda v, k, shift=None: np.ones_like(v), "capped_simplex_block_mass"),
+     lambda v, k, shift=None: (np.ones_like(v), -np.inf), "capped_simplex_block_mass"),
     (selftest.check_l2_bound, "l2_bound_g", lambda zeta1, zeta2, r: 0.0, "l2_norm_bound"),
     (selftest.check_envelope_recurrence, "geometric_envelope",
      lambda *args: np.zeros(len(args[-1])), "geometric_envelope_dominance"),
@@ -35,6 +35,20 @@ def test_broken_function_fails_its_check(monkeypatch, check, target, broken, nam
     result = check(np.random.default_rng(0))
     assert result.name == name
     assert not result.passed
+
+
+def test_projection_check_fails_on_a_wrong_shift(monkeypatch):
+    project = selftest.project_capped_simplex
+
+    def shift_off_by_one(v, k, shift=None):
+        w, lam = project(v, k, shift=shift)
+        return w, lam + 1.0
+
+    monkeypatch.setattr(selftest, "project_capped_simplex", shift_off_by_one)
+    result = selftest.check_projection(np.random.default_rng(0))
+    assert result.name == "capped_simplex_projection"
+    assert not result.passed
+    assert "does not rebuild w" in result.detail
 
 
 def test_cli_reports_a_failed_check(monkeypatch, capsys):

@@ -25,24 +25,26 @@ from conftest import gaussian_instance
 class TestProjection:
     def test_cap_forces_unit(self):
         np.testing.assert_allclose(
-            project_capped_simplex(np.array([10.0, 0.0, 0.0]), 1), [1.0, 0.0, 0.0],
+            project_capped_simplex(np.array([10.0, 0.0, 0.0]), 1)[0], [1.0, 0.0, 0.0],
             atol=1e-14)
 
     def test_symmetry(self):
         for c in (-3.0, 0.0, 7.5):
             np.testing.assert_allclose(
-                project_capped_simplex(np.full(3, c), 2), np.full(3, 2 / 3),
+                project_capped_simplex(np.full(3, c), 2)[0], np.full(3, 2 / 3),
                 atol=1e-14)
 
     def test_full_mass_is_ones(self, rng):
         v = rng.normal(0, 5, 9)
-        np.testing.assert_array_equal(project_capped_simplex(v, 9), np.ones(9))
-        np.testing.assert_array_equal(project_capped_simplex(v, 9, shift=3.0), np.ones(9))
+        for shift in (None, 3.0):
+            w, lam = project_capped_simplex(v, 9, shift=shift)
+            np.testing.assert_array_equal(w, np.ones(9))
+            assert lam == -math.inf
 
     def test_matches_bisection_oracle(self, rng):
         for _ in range(50):
             v = rng.normal(0, rng.uniform(0.5, 5.0), 6)
-            w = project_capped_simplex(v, 3)
+            w, _ = project_capped_simplex(v, 3)
             ref = bisection_projection(v, 3)
             np.testing.assert_allclose(w, ref, atol=1e-10)
 
@@ -62,7 +64,7 @@ class TestProjection:
         for k in range(1, v.size + 1):
             ref = bisection_projection(v, k)
             for shift in (None, -5.0, -1.0, 0.0, 0.5, 1.0, 2.0, 1e9):
-                w = project_capped_simplex(v, k, shift=shift)
+                w, _ = project_capped_simplex(v, k, shift=shift)
                 np.testing.assert_allclose(w, ref, atol=1e-10)
                 assert abs(w.sum() - k) <= 1e-12
                 assert w.min() >= 0 and w.max() <= 1
@@ -71,7 +73,7 @@ class TestProjection:
         # any shift in [0, 4] is exact here: the mass is flat at k there
         v = np.array([5.0, 5.0, 0.0, 0.0, -3.0])
         for shift in (None, -10.0, 0.0, 2.0, 4.0, 4.5, 10.0):
-            np.testing.assert_array_equal(project_capped_simplex(v, 2, shift=shift),
+            np.testing.assert_array_equal(project_capped_simplex(v, 2, shift=shift)[0],
                                           [1.0, 1.0, 0.0, 0.0, 0.0])
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=25), st.data())
@@ -83,7 +85,7 @@ class TestProjection:
             st.none(),
             st.floats(float(v.min()) - 2.0, float(v.max()) + 1.0),
             st.floats(-1e12, 1e12)))
-        w = project_capped_simplex(v, k, shift=shift)
+        w, _ = project_capped_simplex(v, k, shift=shift)
         np.testing.assert_allclose(w, bisection_projection(v, k), rtol=0, atol=1e-10)
         assert abs(w.sum() - k) <= 1e-12
         assert w.min() >= 0.0 and w.max() <= 1.0
@@ -93,14 +95,40 @@ class TestProjection:
     def test_feasibility_and_optimality(self, vals, data):
         v = np.array(vals, dtype=float)
         k = data.draw(st.integers(1, v.size))
-        w = project_capped_simplex(v, k)
+        w, _ = project_capped_simplex(v, k)
         assert abs(w.sum() - k) <= 1e-12
         assert w.min() >= -1e-15 and w.max() <= 1 + 1e-15
         # any other feasible point (obtained by projection) is no closer to v
-        other = project_capped_simplex(
+        other, _ = project_capped_simplex(
             np.array(data.draw(st.lists(st.floats(-50, 50),
                                         min_size=v.size, max_size=v.size))), k)
         assert (np.linalg.norm(w - v) <= np.linalg.norm(other - v) + 1e-10)
+
+    @given(st.integers(1, 39), st.data(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["gaussian", "half-integer", "scale 1e3"]),
+           st.sampled_from(["cold", "random", "breakpoint"]))
+    @settings(deadline=None, max_examples=300)
+    def test_returned_shift_rebuilds_w(self, n, data, seed, kind, start):
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n)
+        if kind == "half-integer":  # breakpoints v_i and v_j - 1 coincide
+            v = np.round(2.0 * v) / 2.0
+        if kind == "scale 1e3":
+            v *= 1e3
+        shift = {"cold": None,
+                 "random": float(rng.uniform(v.min() - 2.0, v.max() + 1.0)),
+                 "breakpoint": float(rng.choice(np.concatenate([v, v - 1.0])))}[start]
+        w, lam = project_capped_simplex(v, k, shift=shift)
+        assert np.minimum(np.maximum(v - lam, 0.0), 1.0).tobytes() == w.tobytes()
+        tol = 1e-9 * (1.0 + abs(lam))
+        if k == n:
+            assert lam == -math.inf
+            np.testing.assert_array_equal(w, np.ones(n))
+        elif ((w > tol) & (w < 1.0 - tol)).any():
+            # a coordinate free by more than round-off pins the shift, since the
+            # mass is strictly monotone there; a w_i of 1e-16 may be a zero
+            assert abs(lam - bisection_all_steps(v, k)[1]) <= tol
 
 
 def bisection_all_steps(v, k):
@@ -158,7 +186,7 @@ def two_product_relaxed_ot(A, y, v, k):
     lam = None
     for _ in range(MAX_INNER_ITER):
         z = zk - (G @ zk - c) / L
-        w_new = project_capped_simplex(z, k, shift=lam)
+        w_new, _ = project_capped_simplex(z, k, shift=lam)
         free = np.flatnonzero((w_new > 0.0) & (w_new < 1.0))
         if free.size:
             lam = float(z[free[0]] - w_new[free[0]])
@@ -252,7 +280,7 @@ class TestRelaxedOT:
         # the first step from the uniform start is accepted: it is a descent step of 1/L
         w0 = np.full(n, k / n)
         L = 10.0 * 1.02
-        expected = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / L, k)
+        expected, _ = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / L, k)
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_nonconvergence_flag(self, rng, monkeypatch):
@@ -304,6 +332,23 @@ class TestRelaxedOT:
             solve_relaxed_ot(A, y, v, k)
         np.testing.assert_array_equal(solve_relaxed_ot(A, y, v, np.int64(2))[0],
                                       solve_relaxed_ot(A, y, v, 2)[0])
+
+
+def test_each_projection_starts_from_the_last_returned_shift(monkeypatch):
+    shifts, project = [], otkit.subproblems.project_capped_simplex
+
+    def recording(z, k, shift=None):
+        w, lam = project(z, k, shift=shift)
+        shifts.append((shift, lam))
+        return w, lam
+
+    monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", recording)
+    A, y, _ = gaussian_instance(np.random.default_rng(302), 32, 64, 5)
+    solve_relaxed_ot(A, y, 5.0 * (A.T @ y), 5)
+    assert len(shifts) > 1
+    assert shifts[0][0] is None
+    for (_, returned), (started, _) in zip(shifts, shifts[1:]):
+        assert started == returned
 
 
 def counted_steps(monkeypatch):
@@ -594,8 +639,9 @@ class TestLeastSquares:
 
     def test_empty_support(self, rng):
         A = rng.standard_normal((4, 6))
-        x = least_squares_on_support(A, rng.standard_normal(4), np.array([], dtype=int))
-        np.testing.assert_array_equal(x, np.zeros(6))
+        for support in ([], np.array([], dtype=int)):
+            x = least_squares_on_support(A, rng.standard_normal(4), support)
+            np.testing.assert_array_equal(x, np.zeros(6))
 
     def test_y_length_rejected(self, rng):
         A = rng.standard_normal((4, 6))
@@ -615,7 +661,8 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("support", [
         np.array([0.7, 2.2]), [0.0, 2.0], np.array([True, False, True, False, False, False]),
-        np.array([[0, 2]])], ids=["float", "float-list", "bool-mask", "2-d"])
+        np.array([[0, 2]]), np.empty((2, 0), dtype=int), np.empty((0, 3))],
+        ids=["float", "float-list", "bool-mask", "2-d", "2-d-empty", "2-d-empty-float"])
     def test_non_integer_support_rejected(self, rng, support):
         A = rng.standard_normal((4, 6))
         with pytest.raises(ValueError, match="1-d integer array"):
