@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, run as `python -m otkit` or the `otkit` script.
 
 Subcommands: gen, recover, grid, ptc, bounds, ric, selftest.  Exit codes are
 a stable scripting contract: 0 success, 1 a failed selftest check, 2 argument
@@ -49,11 +49,12 @@ def _frange(lo, hi, step):
 
 
 def _check_writable(*paths):
-    """Raise OSError for a path that is a directory or whose directory is
-    missing or unwritable, so that a command refuses it before any work."""
+    """Raise OSError for a path that is a directory, names no file (it is
+    empty or ends in a separator) or whose directory is missing or
+    unwritable, so that a command refuses it before any work."""
     for path in paths:
-        if os.path.isdir(path):
-            raise OSError(f"cannot write {path}: it is a directory")
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise OSError(f"cannot write {path!r}: it names a directory, not a file")
         if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
             raise OSError(f"cannot write {path}: its directory is missing or unwritable")
 
@@ -279,7 +280,3 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

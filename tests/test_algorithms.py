@@ -249,6 +249,33 @@ class TestRefitStop:
         assert len(received) >= omega and all(p is None for p in received)
 
 
+class TestInnerFlags:
+    """RunResult.inner_flags counts the relaxed solves that hit their cap."""
+
+    @pytest.mark.parametrize("variant, omega", [("hbrot", 2), ("hbrotp", 1),
+                                                ("htp", 1), ("hbotp", 1)])
+    def test_counts_every_capped_solve(self, variant, omega, monkeypatch):
+        # five steps are too few to stall (8 in a row) or to be asked (step
+        # 20), so every relaxed solve runs to its cap
+        monkeypatch.setattr(subproblems, "MAX_INNER_ITER", 5)
+        solve, converged = algorithms.solve_relaxed_ot, []
+
+        def recording(*args, **kwargs):
+            w, ok = solve(*args, **kwargs)
+            converged.append(ok)
+            return w, ok
+
+        monkeypatch.setattr(algorithms, "solve_relaxed_ot", recording)
+        A, y, truth = gaussian_instance(np.random.default_rng(42), 12, 20, 3)
+        result = run(ProblemInstance(A=A, y=y, k=3, truth=truth),
+                     config_for(variant, alpha=1.0, beta=0.1, omega=omega,
+                                max_iter=6, residual_tol=0.0))
+        assert result.iterations > 0
+        relaxed = variant in ("hbrot", "hbrotp")
+        assert result.inner_flags == (omega * result.iterations if relaxed else 0)
+        assert result.inner_flags == converged.count(False) == len(converged)
+
+
 class TestSharedBehaviour:
     @pytest.mark.parametrize("variant", ["hbot", "hbotp", "hbrot", "hbrotp",
                                          "iht", "htp", "omp"])

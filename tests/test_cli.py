@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,15 +117,33 @@ class TestRecover:
                     if l.startswith("rel_error")][0]
         assert float(rel_line.split(":")[1]) <= 1e-3
 
-    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("algo", ["hbrotp", "htp"])
+    def test_gen_then_recover_to_round_off(self, tmp_path, capsys, algo):
+        # the CSV files round-trip exactly, so this clean k = 3 truth is
+        # recovered to round-off and the run stops on its residual
+        prefix = str(tmp_path / "inst")
+        run_cli("gen", "--n", "64", "--kappa", "0.5", "--rho", "0.1",
+                "--seed", "7", "--out-prefix", prefix)
+        code = run_cli("recover", "--algo", algo, "--A", prefix + ".A.csv",
+                       "--y", prefix + ".y.csv", "--k", "3",
+                       "--truth", prefix + ".truth.csv",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert re.search(r"^stop: residual_tol after \d+ iterations$", out, re.M)
+        assert float(re.search(r"^rel_error: (\S+)$", out, re.M).group(1)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", ["missing", "directory", "trailing-separator"])
     def test_bad_output_path_refused_before_recovery(self, tmp_path, monkeypatch, bad):
         runs = []
         monkeypatch.setattr(otkit.cli, "run", lambda *a: runs.append(a))
         save_matrix_csv(tmp_path / "A.csv", np.eye(4))
         save_vector_csv(tmp_path / "y.csv", np.ones(4))
-        out = tmp_path / "no" / "such" / "x.csv" if bad == "missing" else tmp_path
+        out = {"missing": str(tmp_path / "no" / "such" / "x.csv"),
+               "directory": str(tmp_path),
+               "trailing-separator": str(tmp_path / "nosuchdir") + os.sep}[bad]
         code = run_cli("recover", "--A", str(tmp_path / "A.csv"),
-                       "--y", str(tmp_path / "y.csv"), "--k", "2", "--out", str(out))
+                       "--y", str(tmp_path / "y.csv"), "--k", "2", "--out", out)
         assert code == EXIT_IO
         assert runs == []
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["A.csv", "y.csv"]
@@ -135,6 +159,17 @@ class TestRecover:
         code = run_cli("recover", "--A", str(tmp_path / "A.csv"),
                        "--y", str(tmp_path / "y.csv"), "--k", "9")
         assert code == EXIT_USAGE
+
+    def test_overflowing_problem_is_usage_error(self, tmp_path):
+        # ||A||_F ||y|| overflows float64: refused before the recovery
+        A = 1e200 * np.random.default_rng(0).standard_normal((6, 10))
+        save_matrix_csv(tmp_path / "A.csv", A)
+        save_vector_csv(tmp_path / "y.csv", A[:, 2] - A[:, 7])
+        code = run_cli("recover", "--A", str(tmp_path / "A.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--k", "2",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--tol"])
     def test_nan_step_parameter_is_usage_error(self, tmp_path, flag):
@@ -158,16 +193,23 @@ class TestRecover:
 class TestGrid:
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
-        for name in ("g1.csv", "g2.csv"):
+        for name, timing in [("g1.csv", []), ("g2.csv", []),
+                             ("t1.csv", ["--timing"]), ("t2.csv", ["--timing"])]:
             out = tmp_path / name
             code = run_cli("grid", "--n", "24", "--kappa-min", "1.0",
                            "--kappa-max", "1.0", "--rho-min", "0.1",
                            "--rho-max", "0.2", "--rho-step", "0.1",
                            "--trials", "2", "--algos", "iht", "--seed", "13",
-                           "--threads", "1", "--out", str(out))
+                           "--threads", "1", *timing, "--out", str(out))
             assert code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+        # --timing writes real wall times at a fixed width, so two timed
+        # runs write files of equal length
+        walls = [row.rsplit(b",", 1)[1] for row in outs[2].splitlines()[1:]]
+        assert len(walls) == 4
+        assert all(re.fullmatch(rb"[1-9]\.\d{6}e[+-]\d\d", wall) for wall in walls)
+        assert len(outs[2]) == len(outs[3])
 
     def test_defaults_match_noise_robustness_protocol(self):
         args = build_parser().parse_args(["grid"])
@@ -225,41 +267,46 @@ class TestGrid:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_guard_refusal_exits_3_and_writes_nothing(self, tmp_path, capsys, threads):
-        out = tmp_path / "g.csv"
-        code = run_cli("grid", "--n", "40", "--rho-min", "0.1", "--rho-max", "0.2",
-                       "--rho-step", "0.1", "--trials", "1", "--algos", "htp,hbot",
-                       "--threads", threads, "--out", str(out))
-        assert code == EXIT_WINDOW
-        assert "refusing n > 30" in capsys.readouterr().err
-        assert not out.exists()
+        out, trans = tmp_path / "g.csv", tmp_path / "tr.csv"
+        for command, extra in [("grid", []), ("ptc", ["--transitions-out", str(trans)])]:
+            code = run_cli(command, "--n", "40", "--rho-min", "0.1", "--rho-max", "0.2",
+                           "--rho-step", "0.1", "--trials", "1", "--algos", "htp,hbot",
+                           "--threads", threads, "--out", str(out), *extra)
+            assert code == EXIT_WINDOW
+            assert "refusing n > 30" in capsys.readouterr().err
+            assert not out.exists()
+            assert not trans.exists()
 
     @pytest.mark.parametrize("command, missing", [("grid", "--out"), ("ptc", "--out"),
                                                   ("ptc", "--transitions-out")])
     def test_missing_output_directory_refused_before_any_trial(
             self, tmp_path, monkeypatch, command, missing):
-        # a path in a missing directory, and a path that is itself a directory
+        # a path in a missing directory, a path that is itself a directory,
+        # and a missing directory's name with a trailing separator
         grids = []
         monkeypatch.setattr(otkit.cli, "success_grid",
                             lambda **kwargs: grids.append(kwargs))
         (tmp_path / "d").mkdir()
-        for bad in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path / "d"):
-            paths = {"--out": tmp_path / "t.csv", "--transitions-out": tmp_path / "tr.csv"}
+        for bad in (str(tmp_path / "no" / "such" / "dir" / "x.csv"), str(tmp_path / "d"),
+                    str(tmp_path / "nosuchdir") + os.sep):
+            paths = {"--out": str(tmp_path / "t.csv"),
+                     "--transitions-out": str(tmp_path / "tr.csv")}
             paths[missing] = bad
             argv = [command, "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
                     "--rho-step", "0.1", "--trials", "1", "--algos", "htp",
-                    "--threads", "1", "--out", str(paths["--out"])]
+                    "--threads", "1", "--out", paths["--out"]]
             if command == "ptc":
-                argv += ["--transitions-out", str(paths["--transitions-out"])]
+                argv += ["--transitions-out", paths["--transitions-out"]]
             assert run_cli(*argv) == EXIT_IO
             assert grids == []
-            assert not any(path.is_file() for path in paths.values())
+            assert not any(path.is_file() for path in tmp_path.rglob("*"))
 
     def test_ptc_writes_transitions(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         trans = tmp_path / "ptc.csv"
         code = run_cli("ptc", "--n", "24", "--kappa-min", "1.0", "--kappa-max", "1.0",
                        "--rho-min", "0.1", "--rho-max", "0.2", "--rho-step", "0.1",
-                       "--trials", "2", "--algos", "htp,iht", "--seed", "3",
+                       "--trials", "2", "--algos", "htp,iht,hbrotp,omp", "--seed", "3",
                        "--threads", "1", "--out", str(out),
                        "--transitions-out", str(trans))
         assert code == EXIT_OK
@@ -273,7 +320,7 @@ class TestGrid:
             algorithm, kappa, rho50 = row.split(",")
             expected.append(f"{algorithm} kappa={kappa}: rho50={float(rho50):.3f}")
         assert printed == expected
-        assert len(printed) == 2
+        assert len(printed) == 4
 
 
 class TestPtc:
@@ -317,13 +364,19 @@ class TestBounds:
         assert "0.2274" in out and "0.2118" in out and "0.2079" in out
 
     def test_window_failure_exit(self, capsys):
-        code = run_cli("bounds", "--delta-k", "0.25", "--delta-2k", "0.25",
-                       "--delta-3k", "0.25", "--delta-kp1", "0.25",
-                       "--alpha", "1", "--beta", "0", "--omega", "1",
-                       "--k", "1", "--n", "12", "--variant", "hbrotp")
-        assert code == EXIT_WINDOW
-        out = capsys.readouterr().out
-        assert "window: FAIL" in out
+        # without --delta-kp1, hbot's delta_(k+s(k)) = delta_(k+1) reads --delta-2k
+        for flags, violated in [
+                (["--delta-k", "0.25", "--delta-2k", "0.25", "--delta-3k", "0.25",
+                  "--delta-kp1", "0.25", "--alpha", "1", "--beta", "0", "--omega", "1",
+                  "--k", "1", "--n", "12", "--variant", "hbrotp"],
+                 "delta_3k=0.25 >= gamma#(omega)=0.207909"),
+                (["--delta-k", "0.1", "--delta-2k", "0.3", "--delta-3k", "0.4",
+                  "--k", "3", "--variant", "hbot"],
+                 "delta_(k+s(k))=0.3 >= gamma*=0.227475")]:
+            assert run_cli("bounds", *flags) == EXIT_WINDOW
+            out = capsys.readouterr().out.splitlines()
+            assert "window: FAIL" in out
+            assert f"  violated: {violated}" in out
 
     def test_relaxed_variant_needs_n(self, capsys):
         code = run_cli("bounds", "--delta-k", "0.01", "--delta-2k", "0.02",
@@ -377,6 +430,37 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "13/13 checks passed" in out
+
+
+PROCESS_RUNS = {
+    "window-holds": (EXIT_OK, "window: PASS", [
+        "bounds", "--delta-k", "0.01", "--delta-2k", "0.02", "--delta-3k", "0.03",
+        "--k", "2", "--n", "40", "--variant", "hbrotp"]),
+    "repeated-algorithm": (EXIT_USAGE, "algorithm 'htp' repeated", [
+        "grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2", "--rho-step", "0.1",
+        "--trials", "1", "--algos", "htp,htp", "--threads", "1", "--out", "t.csv"]),
+    "window-fails": (EXIT_WINDOW, "window: FAIL", [
+        "bounds", "--delta-k", "0.1", "--delta-2k", "0.3", "--delta-3k", "0.4",
+        "--k", "3", "--variant", "hbot"]),
+    "missing-directory": (EXIT_IO, "its directory is missing or unwritable", [
+        "grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2", "--rho-step", "0.1",
+        "--trials", "1", "--algos", "htp", "--threads", "1",
+        "--out", os.path.join("no", "such", "t.csv")]),
+}
+
+
+@pytest.mark.parametrize("expected, says, argv", PROCESS_RUNS.values(), ids=list(PROCESS_RUNS))
+def test_process_exit_code(tmp_path, expected, says, argv):
+    # `python -m otkit` in an empty directory: its status is main()'s, and it
+    # writes no file there
+    src = str(Path(otkit.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "otkit", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == expected, proc.stderr
+    assert says in proc.stdout + proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_rejected():
