@@ -95,8 +95,11 @@ def cmd_recover(args):
     print(f"residual: {result.trace.residual_norms[-1]:.6e}")
     print(f"support: [{supp}]")
     if truth is not None:
-        rel = float(np.linalg.norm(result.x_final - truth) / np.linalg.norm(truth))
-        print(f"rel_error: {rel:.6e}")
+        error, truth_norm = np.linalg.norm(result.x_final - truth), np.linalg.norm(truth)
+        if truth_norm > 0.0:
+            print(f"rel_error: {float(error / truth_norm):.6e}")
+        else:  # no relative error of an all-zero truth
+            print(f"abs_error: {float(error):.6e}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -30,44 +30,55 @@ ACCEPT_EVERY = 20
 LS_ERROR_MAX = 1e8
 
 
-def project_capped_simplex(v, k, shift=None):
-    """Euclidean projection of v onto {w : sum(w) = k, 0 <= w <= 1}.
+def project_capped_simplex(v, k, shift=None, scale=None):
+    """Projection of v onto {w : sum(w) = k, 0 <= w <= 1}, Euclidean or weighted.
 
-    The projection is clip(v - lam, 0, 1) for the scalar shift lam at which
-    the clipped mass equals k.  The mass is piecewise linear and
-    non-increasing in lam, with breakpoints at v_i and v_i - 1, so it is
-    linear on each face: with F the free coordinates (0 < v_i - lam < 1) and
-    U the saturated ones (v_i - lam >= 1) it equals |U| + sum(v_F) - |F| lam.
+    With c = scale (all ones when None), it minimises sum((w_i - v_i)^2 / c_i)
+    over the capped simplex: c_i weighs how far coordinate i moves, so scale
+    None is the Euclidean projection.  The result is clip(v - lam c, 0, 1)
+    for the scalar shift lam at which the clipped mass equals k.  The mass is
+    piecewise linear and non-increasing in lam, with breakpoints at v_i / c_i
+    and (v_i - 1) / c_i, so it is linear on each face: with F the free
+    coordinates (0 < v_i - lam c_i < 1) and U the saturated ones
+    (v_i - lam c_i >= 1) it equals |U| + sum(v_F) - sum(c_F) lam.
 
     Safeguarded Newton iteration on lam: each pass finds the face at lam and
-    solves that face's mass equation exactly, lam' = (sum(v_F) + |U| - k) / |F|.
-    Once the face at lam' is the one lam' was solved on (no breakpoint lies
-    between lam and lam'), lam' is the exact shift.  A bracket lo < lam < hi
-    kept from the sign of the mass error catches steps that leave it and
-    replaces them, as it does a step on a face with no free coordinate, by the
-    median breakpoint inside the bracket; every bisection halves the
-    breakpoints left, so the loop ends.
+    solves that face's mass equation exactly,
+    lam' = (sum(v_F) + |U| - k) / sum(c_F).  Once the face at lam' is the one
+    lam' was solved on (no breakpoint lies between lam and lam'), lam' is the
+    exact shift.  A bracket lo < lam < hi kept from the sign of the mass error
+    catches steps that leave it and replaces them, as it does a step on a face
+    with no free coordinate, by the median breakpoint inside the bracket;
+    every bisection halves the breakpoints left, so the loop ends.
 
-    Returns (w, lam): lam formed w, which is np.minimum(np.maximum(v - lam,
-    0.0), 1.0) bit for bit, and k == n returns (ones, -inf).  shift is an
+    Returns (w, lam): lam formed w, which is np.minimum(np.maximum(v - lam *
+    c, 0.0), 1.0) bit for bit, and k == n returns (ones, -inf).  shift is an
     optional starting guess for lam, such as the lam of the previous
     projection in a sequence of nearby ones: it changes only the number of
     passes (usually one, from a good guess), and the result only to round-off.
+    scale must be positive and finite; all ones gives the scale=None result
+    bit for bit, since every product and quotient by 1.0 is exact.
     """
     v = as_vector(v)
     n = v.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
+    if scale is None:
+        c = np.ones(n)
+    else:
+        c = np.asarray(scale, dtype=float)
+        if c.shape != v.shape or not 0.0 < c.min() <= c.max() < math.inf:
+            raise ValueError(f"scale must be {n} positive finite entries")
     if k == n:
         return np.ones(n), -math.inf
 
-    lam = (float(v.sum()) - k) / n if shift is None else float(shift)
+    lam = (float(v.sum()) - k) / float(c.sum()) if shift is None else float(shift)
     if not math.isfinite(lam):
         raise ValueError(f"starting shift {lam} is not finite")
     lo, hi = -math.inf, math.inf  # mass(lo) > k > mass(hi)
     solved_on = None  # face counts lam was solved on by a Newton step
     while True:
-        d = v - lam
+        d = v - lam * c
         pos = d > 0.0
         sat = d >= 1.0
         n_sat = int(np.count_nonzero(sat))
@@ -76,8 +87,10 @@ def project_capped_simplex(v, k, shift=None):
         # only leave U or join the zeros: equal counts mean an equal face.
         if solved_on == (n_sat, n_free):
             break
-        sum_free = float(v[pos ^ sat].sum())
-        excess = n_sat + sum_free - n_free * lam - k
+        free = pos ^ sat
+        sum_free = float(v[free].sum())
+        c_free = float(c @ free)
+        excess = n_sat + sum_free - c_free * lam - k
         if excess > 0.0:
             lo = lam
         elif excess < 0.0:
@@ -85,11 +98,11 @@ def project_capped_simplex(v, k, shift=None):
         else:
             break
         if n_free:
-            step = (sum_free + n_sat - k) / n_free
+            step = (sum_free + n_sat - k) / c_free
             if lo < step < hi:
                 lam, solved_on = step, (n_sat, n_free)
                 continue
-        breaks = np.concatenate([v, v - 1.0])
+        breaks = np.concatenate([v / c, (v - 1.0) / c])
         breaks = breaks[(breaks > lo) & (breaks < hi)]
         if breaks.size:
             lam, solved_on = float(np.median(breaks)), None
@@ -97,12 +110,11 @@ def project_capped_simplex(v, k, shift=None):
         # No breakpoint inside the bracket: the mass is linear on it, and the
         # face at its midpoint is the face of the solution.
         lam = 0.5 * (lo + hi)
-        d = v - lam
+        d = v - lam * c
         free = (d > 0.0) & (d < 1.0)
-        n_free = int(np.count_nonzero(free))
-        if n_free:
-            lam = (float(v[free].sum()) + int(np.count_nonzero(d >= 1.0)) - k) / n_free
-            d = v - lam
+        if free.any():
+            lam = (float(v[free].sum()) + int(np.count_nonzero(d >= 1.0)) - k) / float(c @ free)
+            d = v - lam * c
         break
     # minimum(maximum()) is clip without its Python wrapper; d is a fresh array
     return np.minimum(np.maximum(d, 0.0, out=d), 1.0, out=d), lam
@@ -125,19 +137,26 @@ def _selection_inputs(A, y, v, k):
 def solve_relaxed_ot(A, y, v, k, accept=None):
     """Minimise ||y - A (v*w)||^2 over the capped simplex {sum(w)=k, 0<=w<=1}.
 
-    Accelerated projected gradient with a monotone restart: an accelerated
-    step that would increase the objective is rejected and the momentum is
-    reset, so accepted objectives never increase.  The step is 1/L, with L the
-    exact top eigenvalue of (A diag(v))^T (A diag(v)) times a 1.02 margin;
-    eigvalsh reads it from the smaller of the two Gram matrices.  Each
-    projection starts from the shift the previous one returned; consecutive
-    iterates share nearly the same shift, so the Newton projection usually
-    needs a single pass.
+    Accelerated projected gradient in the metric D = diag(d), d_i = ||B_i||^2
+    the squared column norms of B = A diag(v), with a monotone restart: an
+    accelerated step that would increase the objective is rejected and the
+    momentum is reset, so accepted objectives never increase.  The metric
+    gives each coordinate its own step, 1 / (L_D d_i), where L_D is the exact
+    top eigenvalue of the Gram of B D^-1/2 (columns of unit norm, or zero)
+    times a 1.02 margin; eigvalsh reads it from the smaller of its two Gram
+    matrices.  With one step 1/L for all, L set by the longest column,
+    coordinates of small |v_i| would barely move.  The projection is the one in the same metric,
+    project_capped_simplex with scale 1/d; D changes the path to a minimiser,
+    not the set of minimisers.  A zero column (v_i = 0), or one whose squared
+    norm underflows, takes the largest column's weight.  Each projection
+    starts from the shift the previous one returned; consecutive iterates
+    share nearly the same shift, so the Newton projection usually needs a
+    single pass.
 
-    The loop runs on the residual r = B w - y of B = A diag(v) and never forms
-    the n x n Gram: the objective is r @ r, and the gradient at the search
-    point z = w + m (w - w_prev) is B^T r_z, where r_z = r + m (r - r_prev)
-    is carried through the same recurrence from the residuals the objective
+    The loop runs on the residual r = B w - y and never forms the n x n Gram:
+    the objective is r @ r, and the gradient at the search point
+    z = w + m (w - w_prev) is B^T r_z, where r_z = r + m (r - r_prev) is
+    carried through the same recurrence from the residuals the objective
     needs anyway (after a restart m = 0 and r_z = r).  A step costs the two
     products B w and B^T r_z, 2mn multiply-adds, and the solve holds O(mn)
     memory.
@@ -150,9 +169,9 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     enough.  Returns (w, converged), so converged=True means the objective
     stalled or accept held.  On neither within MAX_INNER_ITER steps the best
     iterate found so far is returned with converged=False; the caller decides
-    whether that is acceptable.  Raises ValueError, with no warning, when the
-    Gram of A diag(v) or the starting objective ||B w0 - y||^2 overflows
-    float64.
+    whether that is acceptable.  Raises ValueError, with no warning, when a
+    squared column norm of A diag(v) or the starting objective ||B w0 - y||^2
+    overflows float64.
     """
     A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
@@ -160,24 +179,30 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
 
     with np.errstate(over="ignore", invalid="ignore"):
         B = A * v  # columns scaled by v
-        gram = B @ B.T if m < n else B.T @ B
+        d = np.einsum("ij,ij->j", B, B)
         r = B @ w - y
         fw = float(r @ r)
-    # the Gram is finite only where B is
-    if not (math.isfinite(fw) and np.isfinite(gram).all()):
-        raise ValueError("the Gram of A diag(v) or ||A (v*w0) - y||^2 overflows float64")
-    L = float(np.linalg.eigvalsh(gram)[-1]) * 1.02
-    if L <= 0.0:
-        # v = 0 (or A v = 0): objective constant, any feasible point optimal.
+    # the Gram of B D^-1/2 is finite once d is
+    if not (math.isfinite(fw) and np.isfinite(d).all()):
+        raise ValueError("a column norm of A diag(v) or ||A (v*w0) - y||^2 overflows float64")
+    tiny = np.finfo(float).tiny
+    d_max = float(d.max())
+    if d_max < tiny:
+        # v = 0 (or A diag(v) = 0): objective constant, any feasible point optimal.
         return w, True
+    d[d < tiny] = d_max
+    c = 1.0 / d  # the projection's scale
+    Bn = B * np.sqrt(c)
+    L = float(np.linalg.eigvalsh(Bn @ Bn.T if m < n else Bn.T @ Bn)[-1]) * 1.02
+    step_of = c / L  # each coordinate's step, 1 / (L_D d_i)
 
     zk, rz = w, r  # search point and its residual
     t_mom = 1.0
     stall = 0
     lam = None  # shift of the last projection, the next one's starting guess
     for step in range(1, MAX_INNER_ITER + 1):
-        z = zk - (B.T @ rz) / L
-        w_new, lam = project_capped_simplex(z, k, shift=lam)
+        z = zk - (B.T @ rz) * step_of
+        w_new, lam = project_capped_simplex(z, k, shift=lam, scale=c)
         r_new = B @ w_new - y
         f_new = float(r_new @ r_new)
         if f_new > fw:  # monotone restart

@@ -92,6 +92,20 @@ class TestRecover:
         np.testing.assert_allclose(load_vector_csv(tmp_path / "x.csv"), truth,
                                    atol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_zero_truth_prints_absolute_error(self, tmp_path, capsys):
+        # an all-zero truth has no relative error: the absolute one is printed
+        save_matrix_csv(tmp_path / "A.csv", np.eye(4))
+        save_vector_csv(tmp_path / "y.csv", np.array([0.0, 3.0, 0.0, 4.0]))
+        save_vector_csv(tmp_path / "t.csv", np.zeros(4))
+        code = run_cli("recover", "--A", str(tmp_path / "A.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--k", "2", "--algo", "iht",
+                       "--truth", str(tmp_path / "t.csv"), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "abs_error: 5.000000e+00" in out.splitlines()
+        assert "rel_error" not in out
+
     def test_reduction_flags_match_plain_loop(self, tmp_path):
         prefix = str(tmp_path / "inst")
         run_cli("gen", "--n", "48", "--kappa", "0.5", "--rho", "0.15",

@@ -145,6 +145,154 @@ def bisection_all_steps(v, k):
     return np.clip(v - shift, 0.0, 1.0), shift
 
 
+def euclidean_projection_reference(v, k, shift=None):
+    """project_capped_simplex as written before it took a scale: the
+    Euclidean Newton projection, with d = v - lam and |F| where the weighted
+    one has v - lam c and sum(c_F).  Returns (w, shift)."""
+    n = v.size
+    if k == n:
+        return np.ones(n), -math.inf
+    lam = (float(v.sum()) - k) / n if shift is None else float(shift)
+    lo, hi = -math.inf, math.inf
+    solved_on = None
+    while True:
+        d = v - lam
+        pos = d > 0.0
+        sat = d >= 1.0
+        n_sat = int(np.count_nonzero(sat))
+        n_free = int(np.count_nonzero(pos)) - n_sat
+        if solved_on == (n_sat, n_free):
+            break
+        sum_free = float(v[pos ^ sat].sum())
+        excess = n_sat + sum_free - n_free * lam - k
+        if excess > 0.0:
+            lo = lam
+        elif excess < 0.0:
+            hi = lam
+        else:
+            break
+        if n_free:
+            step = (sum_free + n_sat - k) / n_free
+            if lo < step < hi:
+                lam, solved_on = step, (n_sat, n_free)
+                continue
+        breaks = np.concatenate([v, v - 1.0])
+        breaks = breaks[(breaks > lo) & (breaks < hi)]
+        if breaks.size:
+            lam, solved_on = float(np.median(breaks)), None
+            continue
+        lam = 0.5 * (lo + hi)
+        d = v - lam
+        free = (d > 0.0) & (d < 1.0)
+        n_free = int(np.count_nonzero(free))
+        if n_free:
+            lam = (float(v[free].sum()) + int(np.count_nonzero(d >= 1.0)) - k) / n_free
+            d = v - lam
+        break
+    return np.minimum(np.maximum(d, 0.0), 1.0), lam
+
+
+def weighted_bisection(v, k, c):
+    """Bisection on the shift of the weighted projection clip(v - lam c, 0, 1),
+    run until the bracket's midpoint is one of its ends.  Returns w."""
+    lo, hi = float(((v - 1.0) / c).min()), float((v / c).max())  # mass >= k, <= k
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if np.minimum(np.maximum(v - mid * c, 0.0), 1.0).sum() >= k:
+            lo = mid
+        else:
+            hi = mid
+    return np.minimum(np.maximum(v - 0.5 * (lo + hi) * c, 0.0), 1.0)
+
+
+def projection_draw(n, seed, kind, weights):
+    """(v, c) for the projection properties: v Gaussian, half-integer (so
+    that breakpoints coincide) or at scale 1e3; c all ones, powers of two
+    from 1/8 to 8, or log-uniform over 1e-6..1e6."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    if kind == "half-integer":
+        v = np.round(2.0 * v) / 2.0
+    if kind == "scale 1e3":
+        v *= 1e3
+    c = {"ones": np.ones(n),
+         "powers of two": 2.0 ** rng.integers(-3, 4, n),
+         "1e-6..1e6": 10.0 ** rng.uniform(-6.0, 6.0, n)}[weights]
+    return rng, v, c
+
+
+class TestWeightedProjection:
+    @given(st.integers(1, 39), st.data(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["gaussian", "half-integer", "scale 1e3"]),
+           st.sampled_from(["cold", "random", "breakpoint"]))
+    @settings(deadline=None, max_examples=300)
+    def test_unit_scale_is_the_euclidean_projection_bit_for_bit(self, n, data, seed, kind,
+                                                               start):
+        k = data.draw(st.integers(1, n))
+        rng, v, _ = projection_draw(n, seed, kind, "ones")
+        shift = {"cold": None,
+                 "random": float(rng.uniform(v.min() - 2.0, v.max() + 1.0)),
+                 "breakpoint": float(rng.choice(np.concatenate([v, v - 1.0])))}[start]
+        w_ref, lam_ref = euclidean_projection_reference(v, k, shift)
+        for scale in (None, np.ones(n)):
+            w, lam = project_capped_simplex(v, k, shift=shift, scale=scale)
+            assert w.tobytes() == w_ref.tobytes()
+            assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+
+    @given(st.integers(2, 39), st.data(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["gaussian", "half-integer", "scale 1e3"]),
+           st.sampled_from(["powers of two", "1e-6..1e6"]),
+           st.sampled_from(["cold", "random", "breakpoint"]))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_bisection_and_rebuilds_w(self, n, data, seed, kind, weights, start):
+        k = data.draw(st.integers(1, n - 1))
+        rng, v, c = projection_draw(n, seed, kind, weights)
+        breaks = np.concatenate([v / c, (v - 1.0) / c])
+        shift = {"cold": None,
+                 "random": float(rng.uniform(breaks.min() - 1.0, breaks.max() + 1.0)),
+                 "breakpoint": float(rng.choice(breaks))}[start]
+        w, lam = project_capped_simplex(v, k, shift=shift, scale=c)
+        assert np.minimum(np.maximum(v - lam * c, 0.0), 1.0).tobytes() == w.tobytes()
+        np.testing.assert_allclose(w, weighted_bisection(v, k, c), rtol=0, atol=1e-10)
+        assert abs(w.sum() - k) <= 1e-12
+
+    def test_minimises_the_weighted_distance(self, rng):
+        # any other feasible point is no closer to v in sum((w - v)^2 / c)
+        for _ in range(50):
+            n = int(rng.integers(2, 12))
+            k = int(rng.integers(1, n))
+            v, c = rng.normal(0, 2, n), 10.0 ** rng.uniform(-2, 2, n)
+            w, _ = project_capped_simplex(v, k, scale=c)
+            for _ in range(10):
+                other, _ = project_capped_simplex(rng.normal(0, 2, n), k)
+                assert np.sum((w - v) ** 2 / c) <= np.sum((other - v) ** 2 / c) + 1e-9
+
+    def test_no_breakpoint_exit_with_no_free_coordinate(self):
+        # the bisection leaves lo on coordinate 3's zero breakpoint v/c and hi
+        # on coordinate 6's saturation breakpoint (v - 1)/c, where round-off
+        # leaves coordinate 3 at 2.3e-13 and coordinate 6 at 1 - 2.3e-13: no
+        # breakpoint lies between them, and the face at their midpoint is the
+        # flat one of mass k, on which that midpoint is returned
+        v = np.array([243.0, 6.0, -994.0, -1815.4036210804309, -1259.0, 535.0,
+                      -1360.479, 1164.0])
+        c = np.array([1e3, 1e-3, 1e3, 10.0, 10.0, 1.0, 10.0, 1.0])
+        midpoint = 0.5 * (v[3] / c[3] + (v[6] - 1.0) / c[6])
+        for shift in (0.0, 5404.0):
+            w, lam = project_capped_simplex(v, 7, shift=shift, scale=c)
+            np.testing.assert_array_equal(w, [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+            assert lam == midpoint
+            assert np.minimum(np.maximum(v - lam * c, 0.0), 1.0).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("scale", [np.ones(3), np.array([1.0, 0.0, 1.0]),
+                                       np.array([1.0, -1.0, 1.0]),
+                                       np.array([1.0, np.inf, 1.0]),
+                                       np.array([1.0, np.nan, 1.0])],
+                             ids=["short", "zero", "negative", "inf", "nan"])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            project_capped_simplex(np.array([0.5, 2.0, -1.0, 0.3]), 2, scale=scale)
+
+
 class TestBisectionOracle:
     @given(st.integers(1, 60), st.data(), st.floats(-6.0, 6.0),
            st.sampled_from(["random", "shift near 0", "constant"]),
@@ -167,31 +315,38 @@ class TestBisectionOracle:
 
 def two_product_relaxed_ot(A, y, v, k):
     """solve_relaxed_ot's iteration in its Gram form, written independently of
-    the residual loop: G = B^T B, c = B^T y, the objective expanded as
-    ||y||^2 - 2 c.w + w.G w, and the two products G @ z and G @ w formed afresh
-    each step, the shift read off with flatnonzero.  The projection is shared:
-    its closing minimum/maximum equals np.clip in value."""
+    the residual loop: G = B^T B, b = B^T y, the objective expanded as
+    ||y||^2 - 2 b.w + w.G w, and the two products G @ z and G @ w formed afresh
+    each step.  The metric D is read off the diagonal of G, L_D is the top
+    eigenvalue of D^-1/2 G D^-1/2 (or of B D^-1 B^T when m < n), and the
+    shift is read off a free coordinate with flatnonzero.  The projection is
+    shared: its closing minimum/maximum equals np.clip in value."""
     B = A * v
     G = B.T @ B
-    c = B.T @ y
+    b = B.T @ y
     yy = float(y @ y)
     m, n = A.shape
-    L = float(np.linalg.eigvalsh(B @ B.T if m < n else G)[-1]) * 1.02
+    d = G.diagonal().copy()
+    d[d == 0.0] = d.max()
+    scale = 1.0 / d
+    root = np.sqrt(scale)
+    L = float(np.linalg.eigvalsh((B * scale) @ B.T if m < n
+                                 else root[:, None] * G * root)[-1]) * 1.02
     w = np.full(n, k / n)
     Gw = G @ w
-    fw = yy - 2.0 * float(c @ w) + float(w @ Gw)
+    fw = yy - 2.0 * float(b @ w) + float(w @ Gw)
     zk = w.copy()
     t_mom = 1.0
     stall = 0
     lam = None
     for _ in range(MAX_INNER_ITER):
-        z = zk - (G @ zk - c) / L
-        w_new, _ = project_capped_simplex(z, k, shift=lam)
+        z = zk - (G @ zk - b) / (L * d)
+        w_new, _ = project_capped_simplex(z, k, shift=lam, scale=scale)
         free = np.flatnonzero((w_new > 0.0) & (w_new < 1.0))
         if free.size:
-            lam = float(z[free[0]] - w_new[free[0]])
+            lam = float((z[free[0]] - w_new[free[0]]) * d[free[0]])
         Gw_new = G @ w_new
-        f_new = yy - 2.0 * float(c @ w_new) + float(w_new @ Gw_new)
+        f_new = yy - 2.0 * float(b @ w_new) + float(w_new @ Gw_new)
         if f_new > fw:
             w_new, Gw_new, f_new = w, Gw, fw
             zk = w.copy()
@@ -255,6 +410,26 @@ class TestRelaxedOT:
         assert w.min() >= 0 and w.max() <= 1
         assert np.allclose(np.sum((y - A @ (np.zeros(8) * w)) ** 2), y @ y)
 
+    def test_zero_and_underflowing_columns_take_the_largest_weight(self, rng, monkeypatch):
+        # v_2 = 0 gives a zero column, and v_5 = 1e-160 one whose squared norm
+        # is subnormal, where 1/d would overflow: both weigh as the largest
+        scales, project = [], otkit.subproblems.project_capped_simplex
+
+        def recording(z, k, shift=None, scale=None):
+            scales.append(scale)
+            return project(z, k, shift=shift, scale=scale)
+
+        monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", recording)
+        A, y, v = rng.standard_normal((6, 10)), rng.standard_normal(6), rng.standard_normal(10)
+        v[2], v[5] = 0.0, 1e-160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _ = solve_relaxed_ot(A, y, v, 3)
+        assert abs(w.sum() - 3) <= 1e-12 and w.min() >= 0 and w.max() <= 1
+        d = np.sum((A * v) ** 2, axis=0)
+        assert scales[0][2] == scales[0][5] == scales[0].min()
+        np.testing.assert_allclose(scales[0].min(), 1.0 / d.max(), rtol=1e-14)
+
     def test_monotone_in_iteration_budget(self, rng, monkeypatch):
         # accepted objectives never increase, so a larger budget never hurts
         A = rng.standard_normal((6, 10))
@@ -277,10 +452,14 @@ class TestRelaxedOT:
         y = A @ np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         monkeypatch.setattr(otkit.subproblems, "MAX_INNER_ITER", 1)
         w, _ = solve_relaxed_ot(A, y, np.ones(n), k)
-        # the first step from the uniform start is accepted: it is a descent step of 1/L
+        # the first step from the uniform start is accepted.  Every column has
+        # squared norm d = 1 + 9/6 = 2.5, so the metric is uniform: L_D is the
+        # top eigenvalue of G / d times 1.02, each step is 1 / (L_D d), and
+        # the weighted projection is the Euclidean one
         w0 = np.full(n, k / n)
-        L = 10.0 * 1.02
-        expected, _ = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / L, k)
+        d = 2.5
+        L_D = 10.0 / d * 1.02
+        expected, _ = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / (L_D * d), k)
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_nonconvergence_flag(self, rng, monkeypatch):
@@ -335,20 +514,26 @@ class TestRelaxedOT:
 
 
 def test_each_projection_starts_from_the_last_returned_shift(monkeypatch):
-    shifts, project = [], otkit.subproblems.project_capped_simplex
+    shifts, scales, project = [], [], otkit.subproblems.project_capped_simplex
 
-    def recording(z, k, shift=None):
-        w, lam = project(z, k, shift=shift)
+    def recording(z, k, shift=None, scale=None):
+        w, lam = project(z, k, shift=shift, scale=scale)
         shifts.append((shift, lam))
+        scales.append(scale)
         return w, lam
 
     monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", recording)
     A, y, _ = gaussian_instance(np.random.default_rng(302), 32, 64, 5)
-    solve_relaxed_ot(A, y, 5.0 * (A.T @ y), 5)
+    v = 5.0 * (A.T @ y)
+    solve_relaxed_ot(A, y, v, 5)
     assert len(shifts) > 1
     assert shifts[0][0] is None
     for (_, returned), (started, _) in zip(shifts, shifts[1:]):
         assert started == returned
+    # every step projects in the solve's metric: scale 1/d, d the squared
+    # column norms of A diag(v)
+    np.testing.assert_allclose(scales[0], 1.0 / np.sum((A * v) ** 2, axis=0), rtol=1e-14)
+    assert all(scale is scales[0] for scale in scales)
 
 
 def counted_steps(monkeypatch):
