@@ -336,6 +336,21 @@ class TestGrid:
         assert printed == expected
         assert len(printed) == 4
 
+    def test_both_gram_branches_recover(self, tmp_path):
+        # the relaxed solve reads its step size from the smaller Gram of B:
+        # B B^T at kappa 0.3 and 0.65 (m < n), B^T B at kappa 1.0 (m = n)
+        out = tmp_path / "branches.csv"
+        code = run_cli("grid", "--n", "48", "--kappa-min", "0.3", "--kappa-max", "1.0",
+                       "--kappa-step", "0.35", "--rho-min", "0.1", "--rho-max", "0.1",
+                       "--trials", "2", "--algos", "hbrotp,hbrot", "--threads", "1",
+                       "--out", str(out))
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 12
+        assert sorted({int(row[3]) for row in rows}) == [15, 32, 48]
+        assert all(row[7] == "1" for row in rows), rows
+
 
 class TestPtc:
     def test_single_rho_rejected_before_any_trial(self, tmp_path, monkeypatch):
@@ -446,31 +461,57 @@ def test_selftest_passes(capsys):
     assert "13/13 checks passed" in out
 
 
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = REPO / "scripts"
+
+
+def readme_quick_start():
+    """The first python block of README.md, as the source of a `python -c`."""
+    found = re.search(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text(),
+                      re.S | re.M)
+    return found.group(1) if found else "raise SystemExit('README.md has no python block')"
+
+
+# name: (exit code, a line it prints, python's arguments)
 PROCESS_RUNS = {
     "window-holds": (EXIT_OK, "window: PASS", [
-        "bounds", "--delta-k", "0.01", "--delta-2k", "0.02", "--delta-3k", "0.03",
-        "--k", "2", "--n", "40", "--variant", "hbrotp"]),
+        "-m", "otkit", "bounds", "--delta-k", "0.01", "--delta-2k", "0.02",
+        "--delta-3k", "0.03", "--k", "2", "--n", "40", "--variant", "hbrotp"]),
     "repeated-algorithm": (EXIT_USAGE, "algorithm 'htp' repeated", [
-        "grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2", "--rho-step", "0.1",
-        "--trials", "1", "--algos", "htp,htp", "--threads", "1", "--out", "t.csv"]),
+        "-m", "otkit", "grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
+        "--rho-step", "0.1", "--trials", "1", "--algos", "htp,htp", "--threads", "1",
+        "--out", "t.csv"]),
     "window-fails": (EXIT_WINDOW, "window: FAIL", [
-        "bounds", "--delta-k", "0.1", "--delta-2k", "0.3", "--delta-3k", "0.4",
-        "--k", "3", "--variant", "hbot"]),
+        "-m", "otkit", "bounds", "--delta-k", "0.1", "--delta-2k", "0.3",
+        "--delta-3k", "0.4", "--k", "3", "--variant", "hbot"]),
     "missing-directory": (EXIT_IO, "its directory is missing or unwritable", [
-        "grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2", "--rho-step", "0.1",
-        "--trials", "1", "--algos", "htp", "--threads", "1",
+        "-m", "otkit", "grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
+        "--rho-step", "0.1", "--trials", "1", "--algos", "htp", "--threads", "1",
         "--out", os.path.join("no", "such", "t.csv")]),
+    # the documented examples: README's quick start as written, and both scripts
+    "readme-quick-start": (EXIT_OK, "beta_max 0.0655, alpha in (", [
+        "-c", readme_quick_start()]),
+    "envelope-demo": (EXIT_OK, "contraction factor theta=0.8220", [
+        str(SCRIPTS / "envelope_demo.py")]),
+    # with noise, the envelope carries hbrotp's noise term: 1.127 at p = 2,
+    # where it is 1.026 without
+    "envelope-demo-noise": (EXIT_OK, "1.127e+00", [
+        str(SCRIPTS / "envelope_demo.py"), "--n", "14", "--eps", "1e-3"]),
+    "bound-tables": (EXIT_OK, "gamma#(1)=0.207909", [str(SCRIPTS / "bound_tables.py")]),
+    # the windows at omega = 2, through parameter_window's constants path
+    "bound-tables-omega-2": (EXIT_OK, "0.1442    0.0017    0.9996    1.0017   0.9943", [
+        str(SCRIPTS / "bound_tables.py"), "--omega", "2", "--k", "3", "--n", "40"]),
 }
 
 
 @pytest.mark.parametrize("expected, says, argv", PROCESS_RUNS.values(), ids=list(PROCESS_RUNS))
 def test_process_exit_code(tmp_path, expected, says, argv):
-    # `python -m otkit` in an empty directory: its status is main()'s, and it
+    # python in an empty directory: its status is the command's, and it
     # writes no file there
     src = str(Path(otkit.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "otkit", *argv], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == expected, proc.stderr
     assert says in proc.stdout + proc.stderr
