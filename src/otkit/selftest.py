@@ -31,19 +31,20 @@ class CheckResult:
     detail: str = ""
 
 
-def bisection_projection(v, k):
-    """Reference projection onto the capped simplex: at most 200 bisection
-    steps on the shift.
+def bisection_projection(v, k, c):
+    """Reference weighted projection clip(v - lam c, 0, 1) onto the capped
+    simplex: at most 200 bisection steps on lam, from min((v - 1) / c), where
+    the mass is n, to max(v / c), where it is 0.
 
     A step is a function of the bracket (lo, hi) alone, so once a step leaves
     the bracket as it was, every later step would too: the loop stops there,
     and the result is bit for bit that of all 200 steps.
     """
-    lo, hi = float(v.min()) - 1.0, float(v.max())
+    lo, hi = float(((v - 1.0) / c).min()), float((v / c).max())
     # minimum(maximum()) is clip without np.clip's Python wrapper, bit for bit
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.minimum(np.maximum(v - mid, 0.0), 1.0).sum() >= k:
+        if np.minimum(np.maximum(v - mid * c, 0.0), 1.0).sum() >= k:
             if mid == lo:
                 break
             lo = mid
@@ -51,7 +52,7 @@ def bisection_projection(v, k):
             if mid == hi:
                 break
             hi = mid
-    return np.minimum(np.maximum(v - 0.5 * (lo + hi), 0.0), 1.0)
+    return np.minimum(np.maximum(v - 0.5 * (lo + hi) * c, 0.0), 1.0)
 
 
 def enumeration_binary_ot(A, y, v, k):
@@ -115,21 +116,22 @@ def check_hard_threshold_best(rng):
 
 
 def check_projection(rng):
-    """Projection matches the bisection oracle, from no starting shift and from
-    a random one; the mass is exact; the returned shift rebuilds w bit for bit
-    as a clip to [0, 1], so w lies in the box."""
+    """The weighted projection, weights 1/2, 1 and 2, matches the bisection
+    oracle from no starting shift and from a random one; the mass is exact;
+    the returned shift rebuilds w bit for bit as a clip to [0, 1]."""
     worst = 0.0
     worst_mass = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 40))
         k = int(rng.integers(1, n + 1))
         v = rng.normal(0, float(rng.uniform(0.1, 10.0)), n)
-        ref = bisection_projection(v, k)
-        # a random start taken from v, not drawn, so that the checks after
-        # this one draw the same inputs
-        shift = float(v[0]) - 0.5
-        for w, lam in (project_capped_simplex(v, k), project_capped_simplex(v, k, shift=shift)):
-            if np.minimum(np.maximum(v - lam, 0.0), 1.0).tobytes() != w.tobytes():
+        # the weights and the random start are taken from n and v, not drawn,
+        # so that the checks after this one draw the same inputs
+        c = 2.0 ** (np.arange(n) % 3 - 1)
+        ref = bisection_projection(v, k, c)
+        for shift in (None, float(v[0]) - 0.5):
+            w, lam = project_capped_simplex(v, k, c, shift=shift)
+            if np.minimum(np.maximum(v - lam * c, 0.0), 1.0).tobytes() != w.tobytes():
                 return CheckResult("capped_simplex_projection", False,
                                    f"shift {lam!r} does not rebuild w")
             worst = np.maximum(worst, np.abs(w - ref).max())
@@ -250,7 +252,7 @@ def check_block_mass(rng):
     for _ in range(60):
         n = int(rng.integers(4, 40))
         k = int(rng.integers(1, n + 1))
-        w, _ = project_capped_simplex(rng.normal(0, 2, n), k)
+        w, _ = project_capped_simplex(rng.normal(0, 2, n), k, np.ones(n))
         size = int(rng.integers(1, n + 1))
         lam = list(rng.choice(n, size=size, replace=False))
         total = 0.0

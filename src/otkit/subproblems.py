@@ -30,17 +30,18 @@ ACCEPT_EVERY = 20
 LS_ERROR_MAX = 1e8
 
 
-def project_capped_simplex(v, k, shift=None, scale=None):
-    """Projection of v onto {w : sum(w) = k, 0 <= w <= 1}, Euclidean or weighted.
+def project_capped_simplex(v, k, scale, shift=None):
+    """Projection of v onto {w : sum(w) = k, 0 <= w <= 1} in a diagonal metric.
 
-    With c = scale (all ones when None), it minimises sum((w_i - v_i)^2 / c_i)
-    over the capped simplex: c_i weighs how far coordinate i moves, so scale
-    None is the Euclidean projection.  The result is clip(v - lam c, 0, 1)
-    for the scalar shift lam at which the clipped mass equals k.  The mass is
-    piecewise linear and non-increasing in lam, with breakpoints at v_i / c_i
-    and (v_i - 1) / c_i, so it is linear on each face: with F the free
-    coordinates (0 < v_i - lam c_i < 1) and U the saturated ones
-    (v_i - lam c_i >= 1) it equals |U| + sum(v_F) - sum(c_F) lam.
+    With c = scale, it minimises sum((w_i - v_i)^2 / c_i) over the capped
+    simplex: c_i weighs how far coordinate i moves (the relaxed solve passes
+    c = 1/d, its metric's inverse, and all ones gives the Euclidean
+    projection).  The result is clip(v - lam c, 0, 1) for the scalar shift
+    lam at which the clipped mass equals k.  The mass is piecewise linear and
+    non-increasing in lam, with breakpoints at v_i / c_i and (v_i - 1) / c_i,
+    so it is linear on each face: with F the free coordinates
+    (0 < v_i - lam c_i < 1) and U the saturated ones (v_i - lam c_i >= 1) it
+    equals |U| + sum(v_F) - sum(c_F) lam.
 
     Safeguarded Newton iteration on lam: each pass finds the face at lam and
     solves that face's mass equation exactly,
@@ -52,23 +53,19 @@ def project_capped_simplex(v, k, shift=None, scale=None):
     every bisection halves the breakpoints left, so the loop ends.
 
     Returns (w, lam): lam formed w, which is np.minimum(np.maximum(v - lam *
-    c, 0.0), 1.0) bit for bit, and k == n returns (ones, -inf).  shift is an
+    c, 0.0), 1.0) bit for bit, and k == n returns (ones, -inf).  k must be an
+    integer in 1..n and scale n positive finite entries.  shift is an
     optional starting guess for lam, such as the lam of the previous
     projection in a sequence of nearby ones: it changes only the number of
     passes (usually one, from a good guess), and the result only to round-off.
-    scale must be positive and finite; all ones gives the scale=None result
-    bit for bit, since every product and quotient by 1.0 is exact.
     """
     v = as_vector(v)
     n = v.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    if scale is None:
-        c = np.ones(n)
-    else:
-        c = np.asarray(scale, dtype=float)
-        if c.shape != v.shape or not 0.0 < c.min() <= c.max() < math.inf:
-            raise ValueError(f"scale must be {n} positive finite entries")
+    if not is_count(k) or not 1 <= k <= n:
+        raise ValueError(f"k={k} must be an integer in 1..{n}")
+    c = np.asarray(scale, dtype=float)
+    if c.shape != v.shape or not 0.0 < c.min() <= c.max() < math.inf:
+        raise ValueError(f"scale must be {n} positive finite entries")
     if k == n:
         return np.ones(n), -math.inf
 

@@ -120,14 +120,15 @@ def test_criterion_5_projection_exactness():
         n = int(rng.integers(2, 50))
         k = int(rng.integers(1, n + 1))
         v = rng.normal(0, float(rng.uniform(0.1, 10.0)), n)
-        w, _ = project_capped_simplex(v, k)
-        ref = bisection_projection(v, k)
+        c = 2.0 ** (np.arange(n) % 7 - 3)  # metric weights 1/8..8, not drawn
+        w, lam = project_capped_simplex(v, k, c)
+        ref = bisection_projection(v, k, c)
         worst_dev = max(worst_dev, float(np.abs(w - ref).max()))
         worst_mass = max(worst_mass, abs(float(w.sum()) - k))
-        assert w.min() >= 0.0 and w.max() <= 1.0
+        assert np.minimum(np.maximum(v - lam * c, 0.0), 1.0).tobytes() == w.tobytes()
     assert worst_dev <= 1e-10
     assert worst_mass <= 1e-12
-    report(5, f"projection exactness on 1000 draws (max dev {worst_dev:.2e})")
+    report(5, f"weighted projection exactness on 1000 draws (max dev {worst_dev:.2e})")
 
 
 def _envelope_matrices():
@@ -278,7 +279,7 @@ def test_criterion_9_inequality_suite():
     for _ in range(500):
         n = int(rng.integers(4, 40))
         k = int(rng.integers(1, n + 1))
-        w, _ = project_capped_simplex(rng.normal(0, 2, n), k)
+        w, _ = project_capped_simplex(rng.normal(0, 2, n), k, np.ones(n))
         lam = list(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         total = 0.0
         rest = sorted(lam, key=lambda i: -abs(w[i]))

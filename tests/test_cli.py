@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -516,6 +517,17 @@ def test_process_exit_code(tmp_path, expected, says, argv):
     assert proc.returncode == expected, proc.stderr
     assert says in proc.stdout + proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_console_script_runs_the_cli():
+    # README writes every command as `otkit ...`, the script pyproject.toml
+    # installs; read with a regex, since Python 3.10 has no tomllib
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)",
+                        (REPO / "pyproject.toml").read_text(), re.S | re.M)
+    entry = scripts and re.search(r'^otkit = "([\w.]+):(\w+)"$', scripts.group(1), re.M)
+    assert entry, "pyproject.toml maps no otkit script"
+    module, name = entry.groups()
+    assert getattr(importlib.import_module(module), name) is otkit.cli.main
 
 
 def test_unknown_flag_rejected():

@@ -25,46 +25,41 @@ from conftest import gaussian_instance
 class TestProjection:
     def test_cap_forces_unit(self):
         np.testing.assert_allclose(
-            project_capped_simplex(np.array([10.0, 0.0, 0.0]), 1)[0], [1.0, 0.0, 0.0],
-            atol=1e-14)
+            project_capped_simplex(np.array([10.0, 0.0, 0.0]), 1, np.ones(3))[0],
+            [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_symmetry(self):
         for c in (-3.0, 0.0, 7.5):
             np.testing.assert_allclose(
-                project_capped_simplex(np.full(3, c), 2)[0], np.full(3, 2 / 3),
+                project_capped_simplex(np.full(3, c), 2, np.ones(3))[0], np.full(3, 2 / 3),
                 atol=1e-14)
 
     def test_full_mass_is_ones(self, rng):
         v = rng.normal(0, 5, 9)
         for shift in (None, 3.0):
-            w, lam = project_capped_simplex(v, 9, shift=shift)
+            w, lam = project_capped_simplex(v, 9, np.ones(9), shift=shift)
             np.testing.assert_array_equal(w, np.ones(9))
             assert lam == -math.inf
 
-    def test_matches_bisection_oracle(self, rng):
-        for _ in range(50):
-            v = rng.normal(0, rng.uniform(0.5, 5.0), 6)
-            w, _ = project_capped_simplex(v, 3)
-            ref = bisection_projection(v, 3)
-            np.testing.assert_allclose(w, ref, atol=1e-10)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            project_capped_simplex(np.ones(3), 4)
+    @pytest.mark.parametrize("k", [4, True, 2.5, 2.0, np.float64(2.0)])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match="must be an integer in 1..3"):
+            project_capped_simplex(np.ones(3), k, np.ones(3))
 
     def test_nonfinite_shift_rejected(self):
         for shift in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                project_capped_simplex(np.array([0.5, 2.0, -1.0]), 1, shift=shift)
+                project_capped_simplex(np.array([0.5, 2.0, -1.0]), 1, np.ones(3), shift=shift)
 
     def test_coincident_breakpoints(self):
         # repeated values make breakpoints collide, and v_i - 1 of one
         # coordinate equals v_j of another; start on and between them
         v = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 3.0, 0.5, 1.5])
+        c = np.ones(v.size)
         for k in range(1, v.size + 1):
-            ref = bisection_projection(v, k)
+            ref = bisection_projection(v, k, c)
             for shift in (None, -5.0, -1.0, 0.0, 0.5, 1.0, 2.0, 1e9):
-                w, _ = project_capped_simplex(v, k, shift=shift)
+                w, _ = project_capped_simplex(v, k, c, shift=shift)
                 np.testing.assert_allclose(w, ref, atol=1e-10)
                 assert abs(w.sum() - k) <= 1e-12
                 assert w.min() >= 0 and w.max() <= 1
@@ -73,20 +68,22 @@ class TestProjection:
         # any shift in [0, 4] is exact here: the mass is flat at k there
         v = np.array([5.0, 5.0, 0.0, 0.0, -3.0])
         for shift in (None, -10.0, 0.0, 2.0, 4.0, 4.5, 10.0):
-            np.testing.assert_array_equal(project_capped_simplex(v, 2, shift=shift)[0],
-                                          [1.0, 1.0, 0.0, 0.0, 0.0])
+            np.testing.assert_array_equal(
+                project_capped_simplex(v, 2, np.ones(5), shift=shift)[0],
+                [1.0, 1.0, 0.0, 0.0, 0.0])
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=25), st.data())
     @settings(deadline=None, max_examples=200)
     def test_any_shift_matches_oracle(self, vals, data):
         v = np.array(vals, dtype=float)
+        c = np.ones(v.size)
         k = data.draw(st.integers(1, v.size))
         shift = data.draw(st.one_of(
             st.none(),
             st.floats(float(v.min()) - 2.0, float(v.max()) + 1.0),
             st.floats(-1e12, 1e12)))
-        w, _ = project_capped_simplex(v, k, shift=shift)
-        np.testing.assert_allclose(w, bisection_projection(v, k), rtol=0, atol=1e-10)
+        w, _ = project_capped_simplex(v, k, c, shift=shift)
+        np.testing.assert_allclose(w, bisection_projection(v, k, c), rtol=0, atol=1e-10)
         assert abs(w.sum() - k) <= 1e-12
         assert w.min() >= 0.0 and w.max() <= 1.0
 
@@ -94,14 +91,15 @@ class TestProjection:
     @settings(deadline=None, max_examples=60)
     def test_feasibility_and_optimality(self, vals, data):
         v = np.array(vals, dtype=float)
+        c = np.ones(v.size)
         k = data.draw(st.integers(1, v.size))
-        w, _ = project_capped_simplex(v, k)
+        w, _ = project_capped_simplex(v, k, c)
         assert abs(w.sum() - k) <= 1e-12
         assert w.min() >= -1e-15 and w.max() <= 1 + 1e-15
         # any other feasible point (obtained by projection) is no closer to v
         other, _ = project_capped_simplex(
             np.array(data.draw(st.lists(st.floats(-50, 50),
-                                        min_size=v.size, max_size=v.size))), k)
+                                        min_size=v.size, max_size=v.size))), k, c)
         assert (np.linalg.norm(w - v) <= np.linalg.norm(other - v) + 1e-10)
 
     @given(st.integers(1, 39), st.data(), st.integers(0, 2**32 - 1),
@@ -110,17 +108,12 @@ class TestProjection:
     @settings(deadline=None, max_examples=300)
     def test_returned_shift_rebuilds_w(self, n, data, seed, kind, start):
         k = data.draw(st.integers(1, n))
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(n)
-        if kind == "half-integer":  # breakpoints v_i and v_j - 1 coincide
-            v = np.round(2.0 * v) / 2.0
-        if kind == "scale 1e3":
-            v *= 1e3
+        rng, v, c = projection_draw(n, seed, kind, "ones")
         shift = {"cold": None,
                  "random": float(rng.uniform(v.min() - 2.0, v.max() + 1.0)),
                  "breakpoint": float(rng.choice(np.concatenate([v, v - 1.0])))}[start]
-        w, lam = project_capped_simplex(v, k, shift=shift)
-        assert np.minimum(np.maximum(v - lam, 0.0), 1.0).tobytes() == w.tobytes()
+        w, lam = project_capped_simplex(v, k, c, shift=shift)
+        assert np.minimum(np.maximum(v - lam * c, 0.0), 1.0).tobytes() == w.tobytes()
         tol = 1e-9 * (1.0 + abs(lam))
         if k == n:
             assert lam == -math.inf
@@ -128,81 +121,21 @@ class TestProjection:
         elif ((w > tol) & (w < 1.0 - tol)).any():
             # a coordinate free by more than round-off pins the shift, since the
             # mass is strictly monotone there; a w_i of 1e-16 may be a zero
-            assert abs(lam - bisection_all_steps(v, k)[1]) <= tol
+            assert abs(lam - bisection_all_steps(v, k, c)[1]) <= tol
 
 
-def bisection_all_steps(v, k):
+def bisection_all_steps(v, k, c):
     """bisection_projection's loop run for all of its 200 steps, with no stop
     at a fixed point.  Returns (w, shift)."""
-    lo, hi = float(v.min()) - 1.0, float(v.max())
+    lo, hi = float(((v - 1.0) / c).min()), float((v / c).max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, 1.0).sum() >= k:
+        if np.clip(v - mid * c, 0.0, 1.0).sum() >= k:
             lo = mid
         else:
             hi = mid
     shift = 0.5 * (lo + hi)
-    return np.clip(v - shift, 0.0, 1.0), shift
-
-
-def euclidean_projection_reference(v, k, shift=None):
-    """project_capped_simplex as written before it took a scale: the
-    Euclidean Newton projection, with d = v - lam and |F| where the weighted
-    one has v - lam c and sum(c_F).  Returns (w, shift)."""
-    n = v.size
-    if k == n:
-        return np.ones(n), -math.inf
-    lam = (float(v.sum()) - k) / n if shift is None else float(shift)
-    lo, hi = -math.inf, math.inf
-    solved_on = None
-    while True:
-        d = v - lam
-        pos = d > 0.0
-        sat = d >= 1.0
-        n_sat = int(np.count_nonzero(sat))
-        n_free = int(np.count_nonzero(pos)) - n_sat
-        if solved_on == (n_sat, n_free):
-            break
-        sum_free = float(v[pos ^ sat].sum())
-        excess = n_sat + sum_free - n_free * lam - k
-        if excess > 0.0:
-            lo = lam
-        elif excess < 0.0:
-            hi = lam
-        else:
-            break
-        if n_free:
-            step = (sum_free + n_sat - k) / n_free
-            if lo < step < hi:
-                lam, solved_on = step, (n_sat, n_free)
-                continue
-        breaks = np.concatenate([v, v - 1.0])
-        breaks = breaks[(breaks > lo) & (breaks < hi)]
-        if breaks.size:
-            lam, solved_on = float(np.median(breaks)), None
-            continue
-        lam = 0.5 * (lo + hi)
-        d = v - lam
-        free = (d > 0.0) & (d < 1.0)
-        n_free = int(np.count_nonzero(free))
-        if n_free:
-            lam = (float(v[free].sum()) + int(np.count_nonzero(d >= 1.0)) - k) / n_free
-            d = v - lam
-        break
-    return np.minimum(np.maximum(d, 0.0), 1.0), lam
-
-
-def weighted_bisection(v, k, c):
-    """Bisection on the shift of the weighted projection clip(v - lam c, 0, 1),
-    run until the bracket's midpoint is one of its ends.  Returns w."""
-    lo, hi = float(((v - 1.0) / c).min()), float((v / c).max())  # mass >= k, <= k
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if np.minimum(np.maximum(v - mid * c, 0.0), 1.0).sum() >= k:
-            lo = mid
-        else:
-            hi = mid
-    return np.minimum(np.maximum(v - 0.5 * (lo + hi) * c, 0.0), 1.0)
+    return np.clip(v - shift * c, 0.0, 1.0), shift
 
 
 def projection_draw(n, seed, kind, weights):
@@ -222,26 +155,9 @@ def projection_draw(n, seed, kind, weights):
 
 
 class TestWeightedProjection:
-    @given(st.integers(1, 39), st.data(), st.integers(0, 2**32 - 1),
-           st.sampled_from(["gaussian", "half-integer", "scale 1e3"]),
-           st.sampled_from(["cold", "random", "breakpoint"]))
-    @settings(deadline=None, max_examples=300)
-    def test_unit_scale_is_the_euclidean_projection_bit_for_bit(self, n, data, seed, kind,
-                                                               start):
-        k = data.draw(st.integers(1, n))
-        rng, v, _ = projection_draw(n, seed, kind, "ones")
-        shift = {"cold": None,
-                 "random": float(rng.uniform(v.min() - 2.0, v.max() + 1.0)),
-                 "breakpoint": float(rng.choice(np.concatenate([v, v - 1.0])))}[start]
-        w_ref, lam_ref = euclidean_projection_reference(v, k, shift)
-        for scale in (None, np.ones(n)):
-            w, lam = project_capped_simplex(v, k, shift=shift, scale=scale)
-            assert w.tobytes() == w_ref.tobytes()
-            assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
-
     @given(st.integers(2, 39), st.data(), st.integers(0, 2**32 - 1),
            st.sampled_from(["gaussian", "half-integer", "scale 1e3"]),
-           st.sampled_from(["powers of two", "1e-6..1e6"]),
+           st.sampled_from(["ones", "powers of two", "1e-6..1e6"]),
            st.sampled_from(["cold", "random", "breakpoint"]))
     @settings(deadline=None, max_examples=300)
     def test_matches_bisection_and_rebuilds_w(self, n, data, seed, kind, weights, start):
@@ -251,9 +167,9 @@ class TestWeightedProjection:
         shift = {"cold": None,
                  "random": float(rng.uniform(breaks.min() - 1.0, breaks.max() + 1.0)),
                  "breakpoint": float(rng.choice(breaks))}[start]
-        w, lam = project_capped_simplex(v, k, shift=shift, scale=c)
+        w, lam = project_capped_simplex(v, k, c, shift=shift)
         assert np.minimum(np.maximum(v - lam * c, 0.0), 1.0).tobytes() == w.tobytes()
-        np.testing.assert_allclose(w, weighted_bisection(v, k, c), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w, bisection_projection(v, k, c), rtol=0, atol=1e-10)
         assert abs(w.sum() - k) <= 1e-12
 
     def test_minimises_the_weighted_distance(self, rng):
@@ -262,9 +178,9 @@ class TestWeightedProjection:
             n = int(rng.integers(2, 12))
             k = int(rng.integers(1, n))
             v, c = rng.normal(0, 2, n), 10.0 ** rng.uniform(-2, 2, n)
-            w, _ = project_capped_simplex(v, k, scale=c)
+            w, _ = project_capped_simplex(v, k, c)
             for _ in range(10):
-                other, _ = project_capped_simplex(rng.normal(0, 2, n), k)
+                other, _ = project_capped_simplex(rng.normal(0, 2, n), k, np.ones(n))
                 assert np.sum((w - v) ** 2 / c) <= np.sum((other - v) ** 2 / c) + 1e-9
 
     def test_no_breakpoint_exit_with_no_free_coordinate(self):
@@ -296,21 +212,23 @@ class TestWeightedProjection:
 class TestBisectionOracle:
     @given(st.integers(1, 60), st.data(), st.floats(-6.0, 6.0),
            st.sampled_from(["random", "shift near 0", "constant"]),
+           st.sampled_from(["ones", "powers of two", "1e-6..1e6"]),
            st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=300)
-    def test_bits_equal_all_steps(self, n, data, log_scale, kind, seed):
+    def test_bits_equal_all_steps(self, n, data, log_scale, kind, weights, seed):
         k = data.draw(st.integers(1, n))
-        rng = np.random.default_rng(seed)
-        v = 10.0**log_scale * rng.standard_normal(n)
+        _, v, c = projection_draw(n, seed, "gaussian", weights)
+        v *= 10.0**log_scale
         if kind == "constant":
             v[:] = v[0]
         if kind == "shift near 0":
             # near a zero shift the ulps are smallest, so the bracket moves
             # longest: about 110 steps, against about 55 elsewhere
-            _, shift = bisection_all_steps(v, k)
-            v = v - shift + data.draw(st.sampled_from(
+            _, shift = bisection_all_steps(v, k, c)
+            v = v - shift * c + data.draw(st.sampled_from(
                 [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, 1e-9]))
-        assert bisection_projection(v, k).tobytes() == bisection_all_steps(v, k)[0].tobytes()
+        assert (bisection_projection(v, k, c).tobytes()
+                == bisection_all_steps(v, k, c)[0].tobytes())
 
 
 def two_product_relaxed_ot(A, y, v, k):
@@ -415,9 +333,9 @@ class TestRelaxedOT:
         # is subnormal, where 1/d would overflow: both weigh as the largest
         scales, project = [], otkit.subproblems.project_capped_simplex
 
-        def recording(z, k, shift=None, scale=None):
+        def recording(z, k, scale, shift=None):
             scales.append(scale)
-            return project(z, k, shift=shift, scale=scale)
+            return project(z, k, scale, shift=shift)
 
         monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", recording)
         A, y, v = rng.standard_normal((6, 10)), rng.standard_normal(6), rng.standard_normal(10)
@@ -459,7 +377,7 @@ class TestRelaxedOT:
         w0 = np.full(n, k / n)
         d = 2.5
         L_D = 10.0 / d * 1.02
-        expected, _ = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / (L_D * d), k)
+        expected, _ = project_capped_simplex(w0 - (G @ w0 - A.T @ y) / (L_D * d), k, np.ones(n))
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_nonconvergence_flag(self, rng, monkeypatch):
@@ -516,8 +434,8 @@ class TestRelaxedOT:
 def test_each_projection_starts_from_the_last_returned_shift(monkeypatch):
     shifts, scales, project = [], [], otkit.subproblems.project_capped_simplex
 
-    def recording(z, k, shift=None, scale=None):
-        w, lam = project(z, k, shift=shift, scale=scale)
+    def recording(z, k, scale, shift=None):
+        w, lam = project(z, k, scale, shift=shift)
         shifts.append((shift, lam))
         scales.append(scale)
         return w, lam
