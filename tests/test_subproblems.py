@@ -41,10 +41,17 @@ class TestProjection:
             np.testing.assert_array_equal(w, np.ones(9))
             assert lam == -math.inf
 
-    @pytest.mark.parametrize("k", [4, True, 2.5, 2.0, np.float64(2.0)])
-    def test_k_out_of_range(self, k):
-        with pytest.raises(ValueError, match="must be an integer in 1..3"):
-            project_capped_simplex(np.ones(3), k, np.ones(3))
+    def test_matches_bisection_oracle(self, rng):
+        c = np.ones(6)
+        for _ in range(50):
+            v = rng.normal(0, rng.uniform(0.5, 5.0), 6)
+            w, _ = project_capped_simplex(v, 3, c)
+            np.testing.assert_allclose(w, bisection_projection(v, 3, c), atol=1e-10)
+
+    def test_k_out_of_range(self):
+        for k in (4, True, 2.5, 2.0, np.float64(2.0)):
+            with pytest.raises(ValueError, match="must be an integer in 1..3"):
+                project_capped_simplex(np.ones(3), k, np.ones(3))
 
     def test_nonfinite_shift_rejected(self):
         for shift in (np.nan, np.inf):
