@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -36,60 +35,58 @@ def _search_point(A, r, x, x_prev, alpha, beta):
     return u + beta * (x - x_prev) if beta else u
 
 
-def _exact(A, y, u, k, cfg):
+def _exact(A, y, u, k, cfg, fit):
     """u restricted to its exact best k-subset (n <= 30: the selection enumerates)."""
     w, _ = solve_binary_ot(A, y, u, k)
     return u * w, 0
 
 
-def _relaxed(A, y, u, k, cfg, stop_on_fit=False):
+def _relaxed(A, y, u, k, cfg, fit):
     """omega relaxed selections, each multiplying into u, then hard thresholding.
 
-    With stop_on_fit (the refit variant) the last selection stops early once
-    the support hard thresholding would keep re-fits within cfg.residual_tol:
-    the outer step then re-fits on that support and the run stops there."""
+    Given the run's fit (hbrotp), the last selection stops early, and so does
+    the run, once the support it would keep fits within cfg.residual_tol."""
     flags = 0
     for i in range(cfg.omega):
-        accept = _fits_tolerance(A, y, u, k, cfg) if stop_on_fit and i == cfg.omega - 1 else None
+        accept = None if fit is None or i < cfg.omega - 1 else (
+            lambda w, u=u: np.linalg.norm(fit(hard_threshold(u * w, k))[1]) <= cfg.residual_tol)
         w, converged = solve_relaxed_ot(A, y, u, k, accept=accept)
         flags += 0 if converged else 1
         u = u * w
     return hard_threshold(u, k), flags
 
 
-def _fits_tolerance(A, y, u, k, cfg):
-    """Predicate on a relaxed iterate w: the least-squares refit on the support
-    of hard_threshold(u * w, k) leaves a residual norm within cfg.residual_tol.
-    The norm is formed as run() forms it, so a True is a stop of the outer loop.
-    A support equal to the last one asked about is not re-fitted: it did not
-    fit, or the solve would have stopped there."""
-    tried = None
-
-    def accept(w):
-        nonlocal tried
-        support = np.flatnonzero(hard_threshold(u * w, k))
-        if np.array_equal(support, tried):
-            return False
-        tried = support
-        x = least_squares_on_support(A, y, support)
-        return float(np.linalg.norm(y - A @ x)) <= cfg.residual_tol
-    return accept
-
-
-def _threshold(A, y, u, k, cfg):
+def _threshold(A, y, u, k, cfg, fit):
     """The k largest-magnitude entries of u."""
     return hard_threshold(u, k), 0
 
 
+def _support_fit(A, y):
+    """One run's least squares fit(candidate) -> (x, y - A x) on candidate's
+    support, shared by stop B and the outer step.  It keeps the last support's
+    result, so neither re-fits it; callers must not write into the arrays."""
+    last = result = None
+
+    def fit(candidate):
+        nonlocal last, result
+        support = np.flatnonzero(candidate)
+        if not np.array_equal(support, last):
+            x = least_squares_on_support(A, y, support)
+            last, result = support, (x, y - A @ x)
+        return result
+    return fit
+
+
 # variant -> (selector, re-fit least squares on its support, heavy-ball step).
-# A selector maps (A, y, u, k, cfg) to a k-sparse candidate and its count of
-# capped relaxed solves.  It looks the inner solvers up as module attributes
-# when called, so a patched attribute (a tracer, a counter) sees every solve.
+# A selector maps (A, y, u, k, cfg, fit) to a k-sparse candidate and its count of
+# capped relaxed solves; fit is the run's _support_fit, or None.  Both look the
+# inner solvers up as module attributes when called, so a patched attribute (a
+# tracer, a counter) sees every solve.
 _VARIANTS = {
     "hbot": (_exact, False, True),
     "hbotp": (_exact, True, True),
     "hbrot": (_relaxed, False, True),
-    "hbrotp": (partial(_relaxed, stop_on_fit=True), True, True),
+    "hbrotp": (_relaxed, True, True),
     "iht": (_threshold, False, False),
     "htp": (_threshold, True, False),
 }
@@ -236,6 +233,7 @@ def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
     trace = _start_trace(problem, [x_prev, x_curr] if heavy_ball else [x_curr])
     r = y - A @ x_curr
 
+    fit = _support_fit(A, y) if refit else None
     a_fro = float(np.linalg.norm(A))  # ||A||_F
     step = 0.0
     inner_flags = 0
@@ -259,12 +257,11 @@ def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
             reason = "diverged"
             break
         u = _search_point(A, r, x_curr, x_prev, alpha, beta)
-        candidate, flags = select(A, y, u, k, cfg)
-        x_next = least_squares_on_support(A, y, np.flatnonzero(candidate)) if refit else candidate
+        candidate, flags = select(A, y, u, k, cfg, fit)
+        x_next, r = fit(candidate) if refit else (candidate, y - A @ candidate)
         inner_flags += flags
         iters += 1
 
-        r = y - A @ x_next
         _record(trace, problem, x_next, float(np.linalg.norm(r)))
         step = float(np.linalg.norm(x_next - x_curr))
         if step <= STAGNATION_RTOL * (1.0 + x_norm):

@@ -109,6 +109,8 @@ def cmd_grid(args):
     rhos = _frange(args.rho_min, args.rho_max, args.rho_step)
     if args.command == "ptc" and len(rhos) < 2:
         raise ValueError(f"ptc needs at least two rho values, got {rhos}")
+    if args.command == "ptc" and os.path.realpath(args.out) == os.path.realpath(args.transitions_out):
+        raise ValueError(f"--out and --transitions-out name one file: {args.out!r}")
     _check_writable(args.out, *([args.transitions_out] if args.command == "ptc" else []))
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
     _print_config(args.command, dict(n=args.n, kappas=kappas, rhos=rhos,

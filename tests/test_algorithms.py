@@ -211,7 +211,8 @@ class TestRefitStop:
         monkeypatch.setattr(subproblems, "project_capped_simplex", counting)
         stopped = run(problem, config_for("hbrotp"))
         stopped_steps, steps[0] = steps[0], 0
-        monkeypatch.setattr(algorithms, "_fits_tolerance", lambda *args: None)
+        # asked after no step of the solve, stop B never fires
+        monkeypatch.setattr(subproblems, "ACCEPT_EVERY", subproblems.MAX_INNER_ITER + 1)
         full = run(problem, config_for("hbrotp"))
         assert stopped.x_final.tobytes() == full.x_final.tobytes()
         assert stopped.stop_reason == full.stop_reason == "residual_tol"
@@ -226,22 +227,33 @@ class TestRefitStop:
 
     def test_predicate_refits_each_new_support_once(self, monkeypatch):
         A, y, truth = gaussian_instance(np.random.default_rng(3), 24, 48, 4)
-        refit, supports = algorithms.least_squares_on_support, []
+        refit, supports, asked = algorithms.least_squares_on_support, [], []
 
         def recording(A, y, support):
             supports.append(support.tolist())
             return refit(A, y, support)
 
+        def capturing(A, y, v, k, accept=None):
+            asked.append(accept)
+            return np.ones(len(v)), True
+
         monkeypatch.setattr(algorithms, "least_squares_on_support", recording)
-        u = np.arange(1.0, 49.0)
-        accept = algorithms._fits_tolerance(A, y, u, 4, config_for("hbrotp"))
+        monkeypatch.setattr(algorithms, "solve_relaxed_ot", capturing)
+        fit = algorithms._support_fit(A, y)
+        algorithms._relaxed(A, y, np.arange(1.0, 49.0), 4, config_for("hbrotp"), fit)
+        [accept] = asked
         wrong, other, right = np.zeros(48), np.zeros(48), np.zeros(48)
         wrong[:4] = other[4:8] = 1.0
         right[np.flatnonzero(truth)] = 1.0
-        # a support asked about again is not re-fitted, and keeps its answer
+        # a support asked about again in a row is not re-fitted, and keeps its answer
         assert [accept(wrong), accept(wrong), accept(other), accept(wrong)] == [False] * 4
         assert supports == [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 2, 3]]
         assert accept(right) and supports[-1] == np.flatnonzero(truth).tolist()
+        # the outer step takes the accepted support's fit without fitting it again
+        x, r = fit(right)
+        assert len(supports) == 4 and np.linalg.norm(r) <= config_for("hbrotp").residual_tol
+        assert np.flatnonzero(x).tolist() == supports[-1]
+        np.testing.assert_array_equal(r, y - A @ x)
 
     @pytest.mark.parametrize("omega", [1, 2])
     def test_hbrot_is_never_asked(self, omega, monkeypatch):
@@ -300,8 +312,8 @@ class TestSharedBehaviour:
         select, *rest = algorithms._VARIANTS[variant]
         cand = []
 
-        def recording(A, y, u, k, cfg):
-            candidate, flags = select(A, y, u, k, cfg)
+        def recording(A, y, u, k, cfg, fit):
+            candidate, flags = select(A, y, u, k, cfg, fit)
             cand.append(float(np.linalg.norm(y - A @ candidate)))
             return candidate, flags
 
@@ -312,6 +324,39 @@ class TestSharedBehaviour:
         assert len(cand) == len(after) > 0
         for refit, candidate in zip(after, cand):
             assert refit <= candidate + 1e-12
+
+    @pytest.mark.parametrize("variant, reason", [("hbotp", "stagnation"),
+                                                 ("htp", "stagnation"),
+                                                 ("hbrotp", "residual_tol")])
+    def test_no_support_is_fitted_twice_in_a_row(self, variant, reason, monkeypatch):
+        # hbotp as desk certification runs it, on an equiangular frame at k = 2;
+        # htp held at its fixed point until it stagnates; hbrotp ended by its
+        # relaxed solve's fit test (stop B), whose fit the outer step takes
+        if variant == "hbotp":
+            rng = np.random.default_rng(4)
+            A = equiangular_frame(16, rng)
+            truth = np.zeros(16)
+            truth[rng.choice(16, size=2, replace=False)] = rng.standard_normal(2)
+            problem = ProblemInstance(A=A, y=A @ truth, k=2, truth=truth)
+            cfg = config_for("hbotp", alpha=1.1, beta=0.1, residual_tol=0.0)
+        elif variant == "htp":
+            A, y, truth = gaussian_instance(np.random.default_rng(2), 20, 30, 2, noise_eps=0.1)
+            problem = ProblemInstance(A=A, y=y, k=2, truth=truth)
+            cfg = config_for("htp", max_iter=200, residual_tol=0.0)
+        else:
+            problem = generate_instance(EnsembleSpec(n=128, kappa=0.5, rho=0.15, seed=1))
+            cfg = config_for("hbrotp")
+        refit, supports = algorithms.least_squares_on_support, []
+
+        def recording(A, y, support):
+            supports.append(support.tolist())
+            return refit(A, y, support)
+
+        monkeypatch.setattr(algorithms, "least_squares_on_support", recording)
+        result = run(problem, cfg)
+        assert result.stop_reason == reason
+        assert len(supports) > 0
+        assert all(a != b for a, b in zip(supports, supports[1:])), supports
 
     def test_stagnation_stop(self):
         # noise keeps the residual away from 0, so the run must detect the
@@ -532,34 +577,31 @@ class TestInnerSolveLookup:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(algorithms, name, counting)
-        # hbrotp's relaxed solve asks a predicate that re-fits each support
-        # it has not just been asked about; count those supports beneath
-        # whichever patch this case installed
-        solve, new_supports = algorithms.solve_relaxed_ot, []
+        # the refit variants' fit is asked once per outer step, and by hbrotp's
+        # relaxed solve; it fits only a support not asked about just before,
+        # so record every support it is asked about beneath whichever patch
+        # this case installed
+        make_fit, asked = algorithms._support_fit, []
 
-        def counting_new_supports(A, y, v, k, accept=None):
-            if accept is not None:
-                asked = None
+        def recording_fit(A, y):
+            fit = make_fit(A, y)
 
-                def accept(w, test=accept):
-                    nonlocal asked
-                    support = np.flatnonzero(hard_threshold(v * w, k))
-                    if not np.array_equal(support, asked):
-                        new_supports.append(support)
-                    asked = support
-                    return test(w)
-            return solve(A, y, v, k, accept=accept)
+            def recording(candidate):
+                asked.append(np.flatnonzero(candidate).tolist())
+                return fit(candidate)
+            return recording
 
-        monkeypatch.setattr(algorithms, "solve_relaxed_ot", counting_new_supports)
+        monkeypatch.setattr(algorithms, "_support_fit", recording_fit)
         local = np.random.default_rng(42)
         A, y, truth = gaussian_instance(local, 12, 20, 3)
         problem = ProblemInstance(A=A, y=y, k=3, truth=truth)
         result = run(problem, config_for(variant, alpha=1.0, beta=0.1, max_iter=5,
                                          residual_tol=0.0))
         assert result.iterations > 0
-        assert bool(new_supports) == (variant == "hbrotp")
-        refits_in_solves = len(new_supports) if name == "least_squares_on_support" else 0
-        assert len(calls) == result.iterations + refits_in_solves
+        asked_in_solves = len(asked) - (result.iterations if variant != "hbot" else 0)
+        assert bool(asked_in_solves) == (variant == "hbrotp")
+        fits = sum(1 for i, S in enumerate(asked) if i == 0 or S != asked[i - 1])
+        assert len(calls) == (fits if name == "least_squares_on_support" else result.iterations)
 
 
 class TestConfig:

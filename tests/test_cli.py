@@ -368,6 +368,22 @@ class TestPtc:
         assert not trans.exists()
         assert grids == []
 
+    def test_same_file_for_both_outputs_rejected_before_any_trial(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # the transitions CSV would overwrite the trials CSV
+        grids = []
+        monkeypatch.setattr(otkit.cli, "success_grid",
+                            lambda **kwargs: grids.append(kwargs))
+        monkeypatch.chdir(tmp_path)
+        for trans in ("same.csv", os.path.join(".", "same.csv"), str(tmp_path / "same.csv")):
+            code = run_cli("ptc", "--n", "24", "--rho-min", "0.1", "--rho-max", "0.2",
+                           "--rho-step", "0.1", "--trials", "1", "--algos", "htp",
+                           "--threads", "1", "--out", "same.csv", "--transitions-out", trans)
+            assert code == EXIT_USAGE
+            assert "name one file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert grids == []
+
     def test_grid_accepts_one_rho_value(self, tmp_path):
         out = tmp_path / "g.csv"
         code = run_cli("grid", "--n", "16", "--rho-min", "0.3", "--rho-max", "0.3",
@@ -489,6 +505,10 @@ PROCESS_RUNS = {
         "-m", "otkit", "grid", "--n", "16", "--rho-min", "0.1", "--rho-max", "0.2",
         "--rho-step", "0.1", "--trials", "1", "--algos", "htp", "--threads", "1",
         "--out", os.path.join("no", "such", "t.csv")]),
+    "same-output-file": (EXIT_USAGE, "--out and --transitions-out name one file", [
+        "-m", "otkit", "ptc", "--n", "24", "--rho-min", "0.1", "--rho-max", "0.2",
+        "--rho-step", "0.1", "--trials", "1", "--algos", "htp", "--threads", "1",
+        "--out", "same.csv", "--transitions-out", os.path.join(".", "same.csv")]),
     # the documented examples: README's quick start as written, and both scripts
     "readme-quick-start": (EXIT_OK, "beta_max 0.0655, alpha in (", [
         "-c", readme_quick_start()]),
