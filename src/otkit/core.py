@@ -39,7 +39,8 @@ def as_matrix(A, name="matrix"):
 
 def is_count(value):
     """True for a Python or numpy integer; False for a float or a bool.  Concrete
-    types, not numbers.Integral's slower ABC test: the projection asks each step."""
+    types, not numbers.Integral's slower ABC test: checked entry points such as
+    top_k_indices ask it on every call."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 

@@ -37,27 +37,17 @@ def project_capped_simplex(v, k, scale, shift=None):
     simplex: c_i weighs how far coordinate i moves (the relaxed solve passes
     c = 1/d, its metric's inverse, and all ones gives the Euclidean
     projection).  The result is clip(v - lam c, 0, 1) for the scalar shift
-    lam at which the clipped mass equals k.  The mass is piecewise linear and
-    non-increasing in lam, with breakpoints at v_i / c_i and (v_i - 1) / c_i,
-    so it is linear on each face: with F the free coordinates
-    (0 < v_i - lam c_i < 1) and U the saturated ones (v_i - lam c_i >= 1) it
-    equals |U| + sum(v_F) - sum(c_F) lam.
-
-    Safeguarded Newton iteration on lam: each pass finds the face at lam and
-    solves that face's mass equation exactly,
-    lam' = (sum(v_F) + |U| - k) / sum(c_F).  Once the face at lam' is the one
-    lam' was solved on (no breakpoint lies between lam and lam'), lam' is the
-    exact shift.  A bracket lo < lam < hi kept from the sign of the mass error
-    catches steps that leave it and replaces them, as it does a step on a face
-    with no free coordinate, by the median breakpoint inside the bracket;
-    every bisection halves the breakpoints left, so the loop ends.
+    lam at which the clipped mass equals k.
 
     Returns (w, lam): lam formed w, which is np.minimum(np.maximum(v - lam *
-    c, 0.0), 1.0) bit for bit, and k == n returns (ones, -inf).  k must be an
-    integer in 1..n and scale n positive finite entries.  shift is an
-    optional starting guess for lam, such as the lam of the previous
-    projection in a sequence of nearby ones: it changes only the number of
-    passes (usually one, from a good guess), and the result only to round-off.
+    c, 0.0), 1.0) bit for bit, and k == n returns (ones, -inf).  v must be
+    finite, k an integer in 1..n and scale n positive finite entries.  shift
+    is an optional finite starting guess for lam, such as the lam of the
+    previous projection in a sequence of nearby ones: it changes only the
+    number of passes (usually one, from a good guess), and the result only
+    to round-off.  Without one the search starts from _cold_shift.  The
+    search itself is _project, which checks nothing; the relaxed solve calls
+    it directly, having checked its own inputs once.
     """
     v = as_vector(v)
     n = v.size
@@ -68,10 +58,63 @@ def project_capped_simplex(v, k, scale, shift=None):
         raise ValueError(f"scale must be {n} positive finite entries")
     if k == n:
         return np.ones(n), -math.inf
+    if shift is not None:
+        shift = float(shift)
+        if not math.isfinite(shift):
+            raise ValueError(f"starting shift {shift} is not finite")
+    return _project(v, k, c, shift)
 
-    lam = (float(v.sum()) - k) / float(c.sum()) if shift is None else float(shift)
-    if not math.isfinite(lam):
-        raise ValueError(f"starting shift {lam} is not finite")
+
+def _cold_shift(v, k, c):
+    """A starting shift for the projection of v when no earlier one is at hand.
+
+    The mass m(lam) = sum(clip(v - lam c, 0, 1)) is n below its smallest
+    breakpoint, and its slope drops by c_i at (v_i - 1) / c_i, where
+    coordinate i leaves the saturated set, and rises by c_i again at
+    v_i / c_i, where it reaches 0.  Sorting the 2n breakpoints gives the mass
+    at each by one cumulative sum.  The start is the midpoint of the two
+    consecutive breakpoints between which that mass crosses k, so it lies on
+    the solution's face however widely the weights spread (up to the sum's
+    round-off), and the Newton search solves that face in its first pass
+    and confirms it in its second.  (The all-free guess (sum(v) - k) /
+    sum(c) is set by the largest weights and, at the spread of the relaxed
+    solve's metric, leaves the search to bisect.  The crossing itself, where
+    its mass error rounds to 0, would be returned as it stands, with the
+    cumulative sum's round-off in the shift.)  A start beyond float range
+    falls back to 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        breaks = np.concatenate([(v - 1.0) / c, v / c])
+        order = np.argsort(breaks)
+        b = breaks[order]
+        slope = np.cumsum(np.concatenate([-c, c])[order])
+        mass = v.size + np.cumsum(slope[:-1] * np.diff(b))  # at b[1:]; at b[0] it is n
+        j = min(int(np.count_nonzero(mass > k)), mass.size - 1)
+        lam = 0.5 * (float(b[j]) + float(b[j + 1]))
+    return lam if math.isfinite(lam) else 0.0
+
+
+def _project(v, k, c, lam):
+    """project_capped_simplex on checked inputs: v finite, k an integer in
+    1..n-1, c positive finite entries and lam a finite starting shift, or
+    None to start from _cold_shift.  Returns (w, lam) as that function does.
+
+    The mass is piecewise linear and non-increasing in lam, with breakpoints
+    at v_i / c_i and (v_i - 1) / c_i, so it is linear on each face: with F the
+    free coordinates (0 < v_i - lam c_i < 1) and U the saturated ones
+    (v_i - lam c_i >= 1) it equals |U| + sum(v_F) - sum(c_F) lam.
+
+    Safeguarded Newton iteration on lam: each pass finds the face at lam and
+    solves that face's mass equation exactly,
+    lam' = (sum(v_F) + |U| - k) / sum(c_F).  Once the face at lam' is the one
+    lam' was solved on (no breakpoint lies between lam and lam'), lam' is the
+    exact shift.  A bracket lo < lam < hi kept from the sign of the mass error
+    catches steps that leave it and replaces them, as it does a step on a face
+    with no free coordinate, by the median breakpoint inside the bracket;
+    every bisection halves the breakpoints left, so the loop ends.
+    """
+    if lam is None:
+        lam = _cold_shift(v, k, c)
     lo, hi = -math.inf, math.inf  # mass(lo) > k > mass(hi)
     solved_on = None  # face counts lam was solved on by a Newton step
     while True:
@@ -142,13 +185,31 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     top eigenvalue of the Gram of B D^-1/2 (columns of unit norm, or zero)
     times a 1.02 margin; eigvalsh reads it from the smaller of its two Gram
     matrices.  With one step 1/L for all, L set by the longest column,
-    coordinates of small |v_i| would barely move.  The projection is the one in the same metric,
-    project_capped_simplex with scale 1/d; D changes the path to a minimiser,
-    not the set of minimisers.  A zero column (v_i = 0), or one whose squared
-    norm underflows, takes the largest column's weight.  Each projection
-    starts from the shift the previous one returned; consecutive iterates
-    share nearly the same shift, so the Newton projection usually needs a
-    single pass.
+    coordinates of small |v_i| would barely move.  The projection is the one
+    in the same metric, project_capped_simplex with scale 1/d; D changes the
+    path to a minimiser, not the set of minimisers.  A zero column (v_i = 0),
+    or one whose squared norm underflows, takes the largest column's weight.
+    The loop calls the projection's unchecked kernel, _project: k was
+    checked on entry, c = 1/d is positive and finite by construction, and
+    the search points are finite by the bound below.  The first projection
+    starts from _cold_shift, each later one from the shift the previous one
+    returned; consecutive iterates share nearly the same shift, so the
+    Newton projection usually needs a single pass.  With k = n, w = ones is
+    the only feasible point and is returned, converged, before any step.
+
+    One bound, checked once, keeps every search point finite.  Each w is a
+    projection, in [0, 1], which puts w + m (w - w_prev) in [-1, 2] and
+    keeps B w - y finite (|(B w)_j| <= n sqrt(d_max)), so no objective is
+    NaN.  Accepted objectives never exceed f0 = ||B w0 - y||^2, so
+    ||r|| <= sqrt(f0), and 0 <= m < 1 gives ||r_z|| <= 3 sqrt(f0).  Every partial sum of
+    (B^T r_z)_i is at most ||B_i|| ||r_z|| <= 3 sqrt(f0 d_max), and the step
+    scales it by 1 / (L_D d_i) with ||B_i||^2 <= d_i and L_D >= 1 (a
+    longest column has unit norm in B D^-1/2), which leaves at most
+    3 sqrt(f0 / min(d)).  So while 3 sqrt(f0) max(sqrt(d_max),
+    1 / sqrt(min(d))) <= 1e300, far inside float range whatever the
+    round-off, no search point overflows and the loop checks none.  A solve
+    beyond that bound checks each one and raises ValueError at the first
+    that is not finite, instead of projecting it.
 
     The loop runs on the residual r = B w - y and never forms the n x n Gram:
     the objective is r @ r, and the gradient at the search point
@@ -168,7 +229,8 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     iterate found so far is returned with converged=False; the caller decides
     whether that is acceptable.  Raises ValueError, with no warning, when a
     squared column norm of A diag(v) or the starting objective ||B w0 - y||^2
-    overflows float64.
+    overflows float64, and ValueError when a search point is not finite
+    (beyond the bound above).
     """
     A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
@@ -184,14 +246,17 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
         raise ValueError("a column norm of A diag(v) or ||A (v*w0) - y||^2 overflows float64")
     tiny = np.finfo(float).tiny
     d_max = float(d.max())
-    if d_max < tiny:
-        # v = 0 (or A diag(v) = 0): objective constant, any feasible point optimal.
+    if d_max < tiny or k == n:
+        # v = 0 (or A diag(v) = 0): objective constant, any feasible point
+        # optimal.  k = n: w = ones is the only feasible point.
         return w, True
     d[d < tiny] = d_max
     c = 1.0 / d  # the projection's scale
     Bn = B * np.sqrt(c)
     L = float(np.linalg.eigvalsh(Bn @ Bn.T if m < n else Bn.T @ Bn)[-1]) * 1.02
     step_of = c / L  # each coordinate's step, 1 / (L_D d_i)
+    # the docstring's bound: below it no search point can overflow
+    check_each_z = 3.0 * math.sqrt(fw) * max(math.sqrt(d_max), 1.0 / math.sqrt(d.min())) > 1e300
 
     zk, rz = w, r  # search point and its residual
     t_mom = 1.0
@@ -199,7 +264,9 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     lam = None  # shift of the last projection, the next one's starting guess
     for step in range(1, MAX_INNER_ITER + 1):
         z = zk - (B.T @ rz) * step_of
-        w_new, lam = project_capped_simplex(z, k, shift=lam, scale=c)
+        if check_each_z and not np.isfinite(z).all():
+            raise ValueError("the search point of a FISTA step is not finite")
+        w_new, lam = _project(z, k, c, lam)
         r_new = B @ w_new - y
         f_new = float(r_new @ r_new)
         if f_new > fw:  # monotone restart

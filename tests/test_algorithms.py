@@ -202,13 +202,14 @@ class TestRefitStop:
     @pytest.mark.parametrize("seed", [1, 3, 5])
     def test_same_result_in_fewer_steps(self, seed, monkeypatch):
         problem = generate_instance(EnsembleSpec(n=128, kappa=0.5, rho=0.15, seed=seed))
-        project, steps = subproblems.project_capped_simplex, [0]
+        project, steps = subproblems._project, [0]
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             steps[0] += 1
-            return project(*args, **kwargs)
+            return project(*args)
 
-        monkeypatch.setattr(subproblems, "project_capped_simplex", counting)
+        # each FISTA step projects once, through the unchecked kernel
+        monkeypatch.setattr(subproblems, "_project", counting)
         stopped = run(problem, config_for("hbrotp"))
         stopped_steps, steps[0] = steps[0], 0
         # asked after no step of the solve, stop B never fires

@@ -190,6 +190,38 @@ class TestWeightedProjection:
                 other, _ = project_capped_simplex(rng.normal(0, 2, n), k, np.ones(n))
                 assert np.sum((w - v) ** 2 / c) <= np.sum((other - v) ** 2 / c) + 1e-9
 
+    def test_cold_start_lies_on_the_solution_face(self, rng):
+        # with weights spread as the relaxed solve's metric spreads them, the
+        # cold start has the returned shift's free and saturated coordinates,
+        # so the search solves that face in its first pass.  A solution with
+        # no free coordinate lies on a flat stretch of the mass, whose face
+        # is not unique, and is skipped.
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            k = int(rng.integers(1, n))
+            v, c = rng.normal(0, rng.uniform(0.1, 10.0), n), 10.0 ** rng.uniform(-2, 7, n)
+            _, lam = project_capped_simplex(v, k, c)
+            d = v - lam * c
+            if not ((d > 0.0) & (d < 1.0)).any():
+                continue
+            d0 = v - otkit.subproblems._cold_shift(v, k, c) * c
+            np.testing.assert_array_equal(d0 > 0.0, d > 0.0)
+            np.testing.assert_array_equal(d0 >= 1.0, d >= 1.0)
+            checked += 1
+        assert checked >= 150
+
+    def test_cold_start_past_float_range(self):
+        # with c_0 = c_1 = 1e-310 the breakpoints of coordinates 0 and 1
+        # overflow, and the cold start's crossing lies between two infinite
+        # ones; the search starts from 0 instead
+        v, c = np.array([-2.0, 3.0, 0.5]), np.array([1e-310, 1e-310, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, lam = project_capped_simplex(v, 1, c)
+        assert w.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
+        assert lam == 0.5
+
     def test_no_breakpoint_exit_with_no_free_coordinate(self):
         # the bisection leaves lo on coordinate 3's zero breakpoint v/c and hi
         # on coordinate 6's saturation breakpoint (v - 1)/c, where round-off
@@ -338,13 +370,13 @@ class TestRelaxedOT:
     def test_zero_and_underflowing_columns_take_the_largest_weight(self, rng, monkeypatch):
         # v_2 = 0 gives a zero column, and v_5 = 1e-160 one whose squared norm
         # is subnormal, where 1/d would overflow: both weigh as the largest
-        scales, project = [], otkit.subproblems.project_capped_simplex
+        scales, project = [], otkit.subproblems._project
 
-        def recording(z, k, scale, shift=None):
+        def recording(z, k, scale, shift):
             scales.append(scale)
-            return project(z, k, scale, shift=shift)
+            return project(z, k, scale, shift)
 
-        monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", recording)
+        monkeypatch.setattr(otkit.subproblems, "_project", recording)
         A, y, v = rng.standard_normal((6, 10)), rng.standard_normal(6), rng.standard_normal(10)
         v[2], v[5] = 0.0, 1e-160
         with warnings.catch_warnings():
@@ -439,15 +471,15 @@ class TestRelaxedOT:
 
 
 def test_each_projection_starts_from_the_last_returned_shift(monkeypatch):
-    shifts, scales, project = [], [], otkit.subproblems.project_capped_simplex
+    shifts, scales, project = [], [], otkit.subproblems._project
 
-    def recording(z, k, scale, shift=None):
-        w, lam = project(z, k, scale, shift=shift)
+    def recording(z, k, scale, shift):
+        w, lam = project(z, k, scale, shift)
         shifts.append((shift, lam))
         scales.append(scale)
         return w, lam
 
-    monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", recording)
+    monkeypatch.setattr(otkit.subproblems, "_project", recording)
     A, y, _ = gaussian_instance(np.random.default_rng(302), 32, 64, 5)
     v = 5.0 * (A.T @ y)
     solve_relaxed_ot(A, y, v, 5)
@@ -461,16 +493,92 @@ def test_each_projection_starts_from_the_last_returned_shift(monkeypatch):
     assert all(scale is scales[0] for scale in scales)
 
 
+def test_every_kernel_call_replays_through_the_public_projection(monkeypatch):
+    # the solve skips the public function's checks, not its arithmetic: each
+    # call it makes, cold start included, returns the bytes the public
+    # projection returns from the same shift
+    calls, project = [], otkit.subproblems._project
+
+    def recording(z, k, scale, shift):
+        w, lam = project(z, k, scale, shift)
+        calls.append((z.copy(), k, scale, shift, w.copy(), lam))
+        return w, lam
+
+    monkeypatch.setattr(otkit.subproblems, "_project", recording)
+    A, y, _ = gaussian_instance(np.random.default_rng(302), 32, 64, 5)
+    v = 5.0 * (A.T @ y)
+    A[:, 7] *= 1e3  # the metric's weights then spread over six decades
+    solve_relaxed_ot(A, y, v, 5)
+    monkeypatch.undo()  # the public projection calls the kernel too
+    assert len(calls) > 100
+    for z, k, scale, shift, w, lam in calls:
+        w_public, lam_public = project_capped_simplex(z, k, scale, shift=shift)
+        assert w_public.tobytes() == w.tobytes()
+        assert np.float64(lam_public).tobytes() == np.float64(lam).tobytes()
+
+
+def test_nonfinite_search_point_refused(rng, monkeypatch):
+    # past the solve's bound, with ||y|| near 1e150 and a column of squared
+    # norm near 1e-304, the loop checks every search point and refuses one
+    # that is not finite instead of projecting it.  To make one, the first
+    # projection hands back a NaN where v is 0: B's zero column hides it
+    # from the objective's comparison, the step is accepted, and the NaN
+    # spreads through the residual into the next search point
+    A, y, v = rng.standard_normal((6, 10)), 1e150 * rng.standard_normal(6), rng.standard_normal(10)
+    v[0], v[2] = 1e-152, 0.0
+    received, project = [], otkit.subproblems._project
+
+    def poisoning(z, k, scale, shift):
+        received.append(z.copy())
+        w, lam = project(z, k, scale, shift)
+        if len(received) == 1:
+            w[2] = np.nan
+        return w, lam
+
+    monkeypatch.setattr(otkit.subproblems, "_project", poisoning)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="search point"):
+        solve_relaxed_ot(A, y, v, 3)
+    assert len(received) == 1 and np.isfinite(received[0]).all()
+
+
+@pytest.mark.parametrize("y_scale, v_small", [(1.0, 1.0), (1e120, 1.0), (1.0, 1e-120),
+                                              (1e60, 1e-60)])
+def test_search_points_stay_finite_within_the_bound(rng, monkeypatch, y_scale, v_small):
+    # inside the bound the loop checks no search point: each one it
+    # projects is finite, however far y and a column's norm are scaled
+    A, y, v = rng.standard_normal((6, 10)), y_scale * rng.standard_normal(6), rng.standard_normal(10)
+    v[0] *= v_small
+    largest, project = [], otkit.subproblems._project
+
+    def recording(z, k, scale, shift):
+        largest.append(np.abs(z).max())
+        return project(z, k, scale, shift)
+
+    monkeypatch.setattr(otkit.subproblems, "_project", recording)
+    solve_relaxed_ot(A, y, v, 3)
+    assert largest and math.isfinite(max(largest))
+
+
+def test_full_k_returns_ones_without_projecting(rng, monkeypatch):
+    # w = ones is the only point of the capped simplex with k = n
+    calls = []
+    monkeypatch.setattr(otkit.subproblems, "_project", lambda *args: calls.append(args))
+    A, y, v = rng.standard_normal((4, 6)), rng.standard_normal(4), rng.standard_normal(6)
+    w, converged = solve_relaxed_ot(A, y, v, 6)
+    assert converged and calls == []
+    assert w.tobytes() == np.ones(6).tobytes()
+
+
 def counted_steps(monkeypatch):
-    """Patch the projection the solve looks up so that each FISTA step, which
-    projects once, appends to the returned list."""
-    steps, project = [], otkit.subproblems.project_capped_simplex
+    """Patch the projection kernel the solve looks up so that each FISTA
+    step, which projects once, appends to the returned list."""
+    steps, project = [], otkit.subproblems._project
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         steps.append(None)
-        return project(*args, **kwargs)
+        return project(*args)
 
-    monkeypatch.setattr(otkit.subproblems, "project_capped_simplex", counting)
+    monkeypatch.setattr(otkit.subproblems, "_project", counting)
     return steps
 
 
