@@ -28,7 +28,13 @@ SUCCESS_REL_TOL = 1e-3  # a trial succeeds iff ||x - truth|| / ||truth|| <= this
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One cell of the random ensemble: dimension n, sampling rate kappa = m/n,
-    sparsity ratio rho = k/m, noise level, and the trial seed."""
+    sparsity ratio rho = k/m, noise level, and the trial seed.
+
+    m = ceil(kappa n) and k = floor(rho m + 1/2), at least 1, take each
+    product rounded to 9 decimals, as the CLI rounds its grid: a float
+    product misses an exact decimal in its last bit, so 0.55 * 100 =
+    55.00000000000001 would add a row and 0.29 * 50 = 14.499999999999998
+    would round a half down."""
 
     n: int
     kappa: float
@@ -48,11 +54,11 @@ class EnsembleSpec:
 
     @property
     def m(self):
-        return math.ceil(self.kappa * self.n)
+        return math.ceil(round(self.kappa * self.n, 9))
 
     @property
     def k(self):
-        return max(1, int(math.floor(self.rho * self.m + 0.5)))
+        return max(1, math.floor(round(self.rho * self.m, 9) + 0.5))
 
 
 def generate_instance(spec):

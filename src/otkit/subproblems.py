@@ -45,9 +45,10 @@ def project_capped_simplex(v, k, scale, shift=None):
     is an optional finite starting guess for lam, such as the lam of the
     previous projection in a sequence of nearby ones: it changes only the
     number of passes (usually one, from a good guess), and the result only
-    to round-off.  Without one the search starts from _cold_shift.  The
-    search itself is _project, which checks nothing; the relaxed solve calls
-    it directly, having checked its own inputs once.
+    to round-off.  Without one the search starts from the all-free face's
+    shift (see _project).  The search itself is _project, which checks
+    nothing; the relaxed solve calls it directly, having checked its own
+    inputs once.
     """
     v = as_vector(v)
     n = v.size
@@ -65,39 +66,14 @@ def project_capped_simplex(v, k, scale, shift=None):
     return _project(v, k, c, shift)
 
 
-def _cold_shift(v, k, c):
-    """A starting shift for the projection of v when no earlier one is at hand.
-
-    The mass m(lam) = sum(clip(v - lam c, 0, 1)) is n below its smallest
-    breakpoint, and its slope drops by c_i at (v_i - 1) / c_i, where
-    coordinate i leaves the saturated set, and rises by c_i again at
-    v_i / c_i, where it reaches 0.  Sorting the 2n breakpoints gives the mass
-    at each by one cumulative sum.  The start is the midpoint of the two
-    consecutive breakpoints between which that mass crosses k, so it lies on
-    the solution's face however widely the weights spread (up to the sum's
-    round-off), and the Newton search solves that face in its first pass
-    and confirms it in its second.  (The all-free guess (sum(v) - k) /
-    sum(c) is set by the largest weights and, at the spread of the relaxed
-    solve's metric, leaves the search to bisect.  The crossing itself, where
-    its mass error rounds to 0, would be returned as it stands, with the
-    cumulative sum's round-off in the shift.)  A start beyond float range
-    falls back to 0.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        breaks = np.concatenate([(v - 1.0) / c, v / c])
-        order = np.argsort(breaks)
-        b = breaks[order]
-        slope = np.cumsum(np.concatenate([-c, c])[order])
-        mass = v.size + np.cumsum(slope[:-1] * np.diff(b))  # at b[1:]; at b[0] it is n
-        j = min(int(np.count_nonzero(mass > k)), mass.size - 1)
-        lam = 0.5 * (float(b[j]) + float(b[j + 1]))
-    return lam if math.isfinite(lam) else 0.0
-
-
 def _project(v, k, c, lam):
     """project_capped_simplex on checked inputs: v finite, k an integer in
     1..n-1, c positive finite entries and lam a finite starting shift, or
-    None to start from _cold_shift.  Returns (w, lam) as that function does.
+    None to start cold.  Returns (w, lam) as that function does.  A cold
+    search starts from the shift that solves the all-free face's mass
+    equation, (sum(v) - k) / sum(c), or from 0 where that is not finite (a
+    sum of v beyond float range); from there it finds the solution's face
+    as a warm search does.
 
     The mass is piecewise linear and non-increasing in lam, with breakpoints
     at v_i / c_i and (v_i - 1) / c_i, so it is linear on each face: with F the
@@ -114,7 +90,10 @@ def _project(v, k, c, lam):
     every bisection halves the breakpoints left, so the loop ends.
     """
     if lam is None:
-        lam = _cold_shift(v, k, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = float((v.sum() - k) / c.sum())
+        if not math.isfinite(lam):
+            lam = 0.0
     lo, hi = -math.inf, math.inf  # mass(lo) > k > mass(hi)
     solved_on = None  # face counts lam was solved on by a Newton step
     while True:
@@ -192,9 +171,9 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     The loop calls the projection's unchecked kernel, _project: k was
     checked on entry, c = 1/d is positive and finite by construction, and
     the search points are finite by the bound below.  The first projection
-    starts from _cold_shift, each later one from the shift the previous one
-    returned; consecutive iterates share nearly the same shift, so the
-    Newton projection usually needs a single pass.  With k = n, w = ones is
+    starts cold, each later one from the shift the previous one returned;
+    consecutive iterates share nearly the same shift, so the Newton
+    projection usually needs a single pass.  With k = n, w = ones is
     the only feasible point and is returned, converged, before any step.
 
     One bound, checked once, keeps every search point finite.  Each w is a
@@ -209,7 +188,13 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     1 / sqrt(min(d))) <= 1e300, far inside float range whatever the
     round-off, no search point overflows and the loop checks none.  A solve
     beyond that bound checks each one and raises ValueError at the first
-    that is not finite, instead of projecting it.
+    that is not finite, instead of projecting it.  Such a solve runs with
+    float overflow ignored rather than refused up front, since it may still
+    succeed and each overflow there is handled: a search point that
+    overflows is refused as above, an objective that overflows reads inf
+    and is rejected by the restart, and a product lam c_i that overflows in
+    the projection stands for a coordinate far past its clip range and
+    clips to the exact 0 or 1 it would give; none of them warns.
 
     The loop runs on the residual r = B w - y and never forms the n x n Gram:
     the objective is r @ r, and the gradient at the search point
@@ -262,27 +247,29 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     t_mom = 1.0
     stall = 0
     lam = None  # shift of the last projection, the next one's starting guess
-    for step in range(1, MAX_INNER_ITER + 1):
-        z = zk - (B.T @ rz) * step_of
-        if check_each_z and not np.isfinite(z).all():
-            raise ValueError("the search point of a FISTA step is not finite")
-        w_new, lam = _project(z, k, c, lam)
-        r_new = B @ w_new - y
-        f_new = float(r_new @ r_new)
-        if f_new > fw:  # monotone restart
-            w_new, r_new, f_new = w, r, fw
-            t_mom = 1.0
-        rel_drop = abs(fw - f_new) / max(1.0, fw)
-        stall = stall + 1 if rel_drop <= OBJECTIVE_REL_TOL else 0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        mom = (t_mom - 1.0) / t_next
-        zk = w_new + mom * (w_new - w)
-        rz = r_new + mom * (r_new - r)
-        w, r, fw, t_mom = w_new, r_new, f_new, t_next
-        if stall >= 8:
-            return w, True
-        if accept is not None and step % ACCEPT_EVERY == 0 and accept(w):
-            return w, True
+    # past the bound, overflow is expected and each case handled (docstring)
+    with np.errstate(over="ignore" if check_each_z else None):
+        for step in range(1, MAX_INNER_ITER + 1):
+            z = zk - (B.T @ rz) * step_of
+            if check_each_z and not np.isfinite(z).all():
+                raise ValueError("the search point of a FISTA step is not finite")
+            w_new, lam = _project(z, k, c, lam)
+            r_new = B @ w_new - y
+            f_new = float(r_new @ r_new)
+            if f_new > fw:  # monotone restart
+                w_new, r_new, f_new = w, r, fw
+                t_mom = 1.0
+            rel_drop = abs(fw - f_new) / max(1.0, fw)
+            stall = stall + 1 if rel_drop <= OBJECTIVE_REL_TOL else 0
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            mom = (t_mom - 1.0) / t_next
+            zk = w_new + mom * (w_new - w)
+            rz = r_new + mom * (r_new - r)
+            w, r, fw, t_mom = w_new, r_new, f_new, t_next
+            if stall >= 8:
+                return w, True
+            if accept is not None and step % ACCEPT_EVERY == 0 and accept(w):
+                return w, True
     return w, False
 
 

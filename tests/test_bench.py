@@ -27,6 +27,35 @@ class TestEnsembleSpec:
         assert spec.m == math.ceil(33.0)
         assert spec.k == 17  # floor(16.5 + 0.5)
 
+    @pytest.mark.parametrize("n, kappa, m", [(100, 0.55, 55), (25, 0.28, 7)])
+    def test_exact_decimal_product_takes_no_extra_row(self, n, kappa, m):
+        # kappa * n is 55.00000000000001 and 7.000000000000001 in floats
+        assert EnsembleSpec(n=n, kappa=kappa, rho=0.1).m == m
+
+    @pytest.mark.parametrize("n, rho, k", [(100, 0.29, 15), (90, 0.7, 32)])
+    def test_exact_half_rounds_up(self, n, rho, k):
+        # rho * m is 14.5 and 31.5, which floats read as 14.499999999999998
+        # and 31.499999999999996
+        assert EnsembleSpec(n=n, kappa=0.5, rho=rho).k == k
+
+    def test_benchmark_and_acceptance_geometries_keep_their_sizes(self):
+        def sizes(n, kappa, rho):
+            spec = EnsembleSpec(n=n, kappa=kappa, rho=rho)
+            return spec.m, spec.k
+
+        assert sizes(256, 0.5, 0.15) == (128, 19)  # operating point
+        assert sizes(20, 0.6, 0.25) == (12, 3)  # desk-certify's Gaussian
+        # greedy-sweep: rho 0.1..0.4 down, kappa 0.3..0.7 across, n = 256
+        ks = [[8, 10, 13, 15, 18], [15, 21, 26, 31, 36], [23, 31, 38, 46, 54],
+              [31, 41, 51, 62, 72]]
+        for i, rho in enumerate((0.1, 0.2, 0.3, 0.4)):
+            for j, (kappa, m) in enumerate(zip((0.3, 0.4, 0.5, 0.6, 0.7),
+                                               (77, 103, 128, 154, 180))):
+                assert sizes(256, kappa, rho) == (m, ks[i][j])
+        # criterion 8: kappa 0.5, rho 0.30..0.55 at n = 256
+        assert [sizes(256, 0.5, rho)[1] for rho in (0.30, 0.35, 0.40, 0.45, 0.50, 0.55)] \
+            == [38, 45, 51, 58, 64, 70]
+
     def test_k_at_least_one(self):
         assert EnsembleSpec(n=100, kappa=0.1, rho=0.01).k == 1
 

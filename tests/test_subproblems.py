@@ -148,7 +148,8 @@ def bisection_all_steps(v, k, c):
 def projection_draw(n, seed, kind, weights):
     """(v, c) for the projection properties: v Gaussian, half-integer (so
     that breakpoints coincide) or at scale 1e3; c all ones, powers of two
-    from 1/8 to 8, or log-uniform over 1e-6..1e6."""
+    from 1/8 to 8, or log-uniform over 1e-6..1e6 or over 1e-2..1e7 (the
+    spread of the relaxed solve's metric)."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     if kind == "half-integer":
@@ -157,14 +158,15 @@ def projection_draw(n, seed, kind, weights):
         v *= 1e3
     c = {"ones": np.ones(n),
          "powers of two": 2.0 ** rng.integers(-3, 4, n),
-         "1e-6..1e6": 10.0 ** rng.uniform(-6.0, 6.0, n)}[weights]
+         "1e-6..1e6": 10.0 ** rng.uniform(-6.0, 6.0, n),
+         "1e-2..1e7": 10.0 ** rng.uniform(-2.0, 7.0, n)}[weights]
     return rng, v, c
 
 
 class TestWeightedProjection:
-    @given(st.integers(2, 39), st.data(), st.integers(0, 2**32 - 1),
+    @given(st.integers(2, 300), st.data(), st.integers(0, 2**32 - 1),
            st.sampled_from(["gaussian", "half-integer", "scale 1e3"]),
-           st.sampled_from(["ones", "powers of two", "1e-6..1e6"]),
+           st.sampled_from(["ones", "powers of two", "1e-6..1e6", "1e-2..1e7"]),
            st.sampled_from(["cold", "random", "breakpoint"]))
     @settings(deadline=None, max_examples=300)
     def test_matches_bisection_and_rebuilds_w(self, n, data, seed, kind, weights, start):
@@ -190,37 +192,31 @@ class TestWeightedProjection:
                 other, _ = project_capped_simplex(rng.normal(0, 2, n), k, np.ones(n))
                 assert np.sum((w - v) ** 2 / c) <= np.sum((other - v) ** 2 / c) + 1e-9
 
-    def test_cold_start_lies_on_the_solution_face(self, rng):
-        # with weights spread as the relaxed solve's metric spreads them, the
-        # cold start has the returned shift's free and saturated coordinates,
-        # so the search solves that face in its first pass.  A solution with
-        # no free coordinate lies on a flat stretch of the mass, whose face
-        # is not unique, and is skipped.
-        checked = 0
-        for _ in range(200):
-            n = int(rng.integers(2, 300))
-            k = int(rng.integers(1, n))
-            v, c = rng.normal(0, rng.uniform(0.1, 10.0), n), 10.0 ** rng.uniform(-2, 7, n)
-            _, lam = project_capped_simplex(v, k, c)
-            d = v - lam * c
-            if not ((d > 0.0) & (d < 1.0)).any():
-                continue
-            d0 = v - otkit.subproblems._cold_shift(v, k, c) * c
-            np.testing.assert_array_equal(d0 > 0.0, d > 0.0)
-            np.testing.assert_array_equal(d0 >= 1.0, d >= 1.0)
-            checked += 1
-        assert checked >= 150
-
     def test_cold_start_past_float_range(self):
         # with c_0 = c_1 = 1e-310 the breakpoints of coordinates 0 and 1
-        # overflow, and the cold start's crossing lies between two infinite
-        # ones; the search starts from 0 instead
+        # lie beyond float range.  The all-free start (sum(v) - k) / sum(c)
+        # is 0.5, whose face (coordinate 1 saturated, none free) has mass k,
+        # so the search returns it at once and forms no breakpoint
         v, c = np.array([-2.0, 3.0, 0.5]), np.array([1e-310, 1e-310, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, lam = project_capped_simplex(v, 1, c)
         assert w.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
         assert lam == 0.5
+
+    def test_cold_start_from_zero_when_the_sum_of_v_overflows(self):
+        # sum(v) is inf, so the all-free start is not finite and the search
+        # starts from 0, from which it still needs a Newton step, a
+        # bisection and the no-breakpoint exit
+        v, c = np.array([1e308, 1e308, 0.25, -0.5]), np.array([1e300, 1e300, 0.5, 1.0])
+        with np.errstate(over="ignore"):
+            assert v.sum() == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, lam = project_capped_simplex(v, 3, c)
+            np.testing.assert_allclose(w, bisection_projection(v, 3, c), rtol=0, atol=1e-10)
+        assert np.minimum(np.maximum(v - lam * c, 0.0), 1.0).tobytes() == w.tobytes()
+        assert abs(w.sum() - 3) <= 1e-12
 
     def test_no_breakpoint_exit_with_no_free_coordinate(self):
         # the bisection leaves lo on coordinate 3's zero breakpoint v/c and hi
@@ -539,6 +535,20 @@ def test_nonfinite_search_point_refused(rng, monkeypatch):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="search point"):
         solve_relaxed_ot(A, y, v, 3)
     assert len(received) == 1 and np.isfinite(received[0]).all()
+
+
+def test_past_the_bound_overflow_warns_nothing():
+    # past the bound, with ||y|| near 1e150 and a column of squared norm
+    # near 1e-300, a product lam c_i in the projection overflows; it clips
+    # to the exact 0 or 1 it stands for, with no RuntimeWarning
+    rng = np.random.default_rng(5)
+    A, y, v = rng.standard_normal((6, 10)), rng.standard_normal(6), rng.standard_normal(10)
+    v[0] = 1e-150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, converged = solve_relaxed_ot(A, 1e150 * y, v, 3)
+    assert converged
+    assert abs(w.sum() - 3) <= 1e-12 and w.min() >= 0.0 and w.max() <= 1.0
 
 
 @pytest.mark.parametrize("y_scale, v_small", [(1.0, 1.0), (1e120, 1.0), (1.0, 1e-120),
