@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # top_k_indices is not called here, but instrumentation patches this name too
-from .core import (IterateTrace, ProblemInstance, hard_threshold, is_count,
-                   top_k_indices)  # noqa: F401
+from .core import (IterateTrace, ProblemInstance, check_count, check_step,
+                   hard_threshold, top_k_indices)  # noqa: F401
 from .subproblems import (LS_ERROR_MAX, least_squares_on_support,
                           solve_binary_ot, solve_relaxed_ot)
 
@@ -114,14 +114,9 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {ALL_VARIANTS}")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0 <= self.beta < math.inf:
-            raise ValueError("beta must be nonnegative and finite")
-        if not is_count(self.omega) or self.omega < 1:
-            raise ValueError("omega must be a positive integer")
-        if not is_count(self.max_iter) or self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
+        check_step(self.alpha, self.beta)
+        check_count(self.omega, "omega")
+        check_count(self.max_iter, "max_iter")
         if not 0 <= self.residual_tol < math.inf:
             raise ValueError("residual_tol must be finite and nonnegative")
 

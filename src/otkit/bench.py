@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algorithms import ALL_VARIANTS, config_for, run
-from .core import ProblemInstance, is_count
+from .core import ProblemInstance, check_count
 
 GENERATOR_NAME = "pcg64"
 SUCCESS_REL_TOL = 1e-3  # a trial succeeds iff ||x - truth|| / ||truth|| <= this
@@ -30,11 +30,12 @@ class EnsembleSpec:
     """One cell of the random ensemble: dimension n, sampling rate kappa = m/n,
     sparsity ratio rho = k/m, noise level, and the trial seed.
 
-    m = ceil(kappa n) and k = floor(rho m + 1/2), at least 1, take each
-    product rounded to 9 decimals, as the CLI rounds its grid: a float
+    m = ceil(kappa n) and k = floor(rho m + 1/2), each at least 1, round
+    each product to 9 decimals first, as the CLI rounds its grid: a float
     product misses an exact decimal in its last bit, so 0.55 * 100 =
     55.00000000000001 would add a row and 0.29 * 50 = 14.499999999999998
-    would round a half down."""
+    would round a half down.  The floor of 1 keeps a kappa n that rounds to
+    0 (kappa=1e-11 at n=10) from leaving A without rows."""
 
     n: int
     kappa: float
@@ -43,8 +44,7 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_count(self.n) or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        check_count(self.n, "n")
         if not 0 < self.kappa <= 1:
             raise ValueError("kappa must be in (0, 1]")
         if not 0 < self.rho <= 1:
@@ -54,7 +54,7 @@ class EnsembleSpec:
 
     @property
     def m(self):
-        return math.ceil(round(self.kappa * self.n, 9))
+        return max(1, math.ceil(round(self.kappa * self.n, 9)))
 
     @property
     def k(self):
@@ -93,8 +93,7 @@ def equiangular_frame(n, rng=None):
     closed-form constants.  An optional rng applies a random row rotation
     (the column Gram, hence every constant, is unchanged).
     """
-    if not is_count(n) or n < 2:
-        raise ValueError("n must be an integer >= 2")
+    check_count(n, "n", lo=2)
     M = np.eye(n) - np.ones((n, n)) / n
     vals, vecs = np.linalg.eigh(M)
     B = (vecs[:, 1:] * np.sqrt(vals[1:])).T  # (n-1) x n with Gram = M
@@ -166,7 +165,9 @@ class GridResult:
 
     def rates(self, algorithm):
         """Success-rate matrix indexed [kappa_index][rho_index], counted in one
-        pass over the records."""
+        pass over the records.  An algorithm the grid did not run is refused."""
+        if algorithm not in self.algorithms:
+            raise ValueError(f"algorithm {algorithm!r} not in this grid's {self.algorithms}")
         successes = [[0] * len(self.rho_list) for _ in self.kappa_list]
         trials = [[0] * len(self.rho_list) for _ in self.kappa_list]
         for r in self.records:
@@ -209,10 +210,8 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if algorithms.count(algorithm) > 1:
             raise ValueError(f"algorithm {algorithm!r} repeated")
-    if not is_count(trials_per_cell) or trials_per_cell < 1:
-        raise ValueError("trials_per_cell must be a positive integer")
-    if not is_count(workers) or workers < 1:
-        raise ValueError("workers must be a positive integer")
+    check_count(trials_per_cell, "trials_per_cell")
+    check_count(workers, "workers")
 
     tasks = []
     for algorithm in sorted(algorithms):

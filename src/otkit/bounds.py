@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, is_count, subset_blocks
+from .core import as_matrix, check_count, check_step, subset_blocks
 from .errors import EnumerationGuardError, ParameterWindowError
 
 RIC_ENUM_MAX_SUPPORTS = 10**6
@@ -18,8 +18,7 @@ RIC_ENUM_MAX_SUPPORTS = 10**6
 
 def s_of_k(k):
     """1 for odd k, 0 for even k (the sparsity-order correction term)."""
-    if not is_count(k) or k < 1:
-        raise ValueError("k must be a positive integer")
+    check_count(k, "k")
     return k % 2
 
 
@@ -90,8 +89,7 @@ def ric_exact(A, order):
     """
     A = as_matrix(A, "A")
     n = A.shape[1]
-    if not is_count(order) or not 1 <= order <= n:
-        raise ValueError(f"order={order} must be an integer in 1..{n}")
+    check_count(order, "order", hi=n)
     count = math.comb(n, order)
     if count > RIC_ENUM_MAX_SUPPORTS:
         raise EnumerationGuardError(
@@ -144,8 +142,7 @@ class RICProfile:
     delta_kp1: float
 
     def __post_init__(self):
-        if not is_count(self.k) or self.k < 1:
-            raise ValueError("k must be a positive integer")
+        check_count(self.k, "k")
         deltas = (self.delta_k, self.delta_kp1, self.delta_2k, self.delta_3k)
         if any(d < 0 for d in deltas):
             raise ValueError("isometry constants must be nonnegative")
@@ -177,8 +174,7 @@ def ric_profile(A, k):
     global _ric_memo
     A = as_matrix(A, "A")
     n = A.shape[1]
-    if not is_count(k) or not 1 <= k <= n:
-        raise ValueError(f"k={k} must be an integer in 1..{n}")
+    check_count(k, "k", hi=n)
     key = (A.shape, A.tobytes())
     if _ric_memo[0] != key:
         _ric_memo = (key, {})
@@ -232,24 +228,21 @@ def _growth(omega, g):
 def gamma_star_omega(omega):
     """Root of (2w+1) g sqrt((1+g)/(1-g)) + g = 1: delta_3k ceiling for the
     relaxed variant with w compressions (about 0.2118 at w=1)."""
-    if not is_count(omega) or omega < 1:
-        raise ValueError("omega must be a positive integer")
+    check_count(omega, "omega")
     return _bisect_increasing(lambda g: _growth(omega, g) - 1.0)
 
 
 def gamma_sharp_omega(omega):
     """delta_3k ceiling for the relaxed pursuit variant: root of the same
     growth function divided by sqrt(1-g^2) (about 0.2079 at w=1)."""
-    if not is_count(omega) or omega < 1:
-        raise ValueError("omega must be a positive integer")
+    check_count(omega, "omega")
     return _bisect_increasing(lambda g: _growth(omega, g) / math.sqrt(1 - g * g) - 1.0)
 
 
 def xi_q(q):
     """Tight l2 cap on the per-block sup-norms of a capped-simplex vector split
     into q greedy k-blocks: 1 at q=1, 2/sqrt(q)+sqrt(q)/4 on [2,8), sqrt(2) beyond."""
-    if not is_count(q) or q < 1:
-        raise ValueError("q must be a positive integer")
+    check_count(q, "q")
     if q == 1:
         return 1.0
     if q < 8:
@@ -265,8 +258,7 @@ def l2_bound_g(zeta1, zeta2, r):
     """
     if not (math.isfinite(zeta1) and zeta1 > zeta2 > 0):
         raise ValueError("need finite zeta1 > zeta2 > 0")
-    if not is_count(r) or r < 2:
-        raise ValueError("r must be an integer >= 2")
+    check_count(r, "r", lo=2)
     t0 = math.floor(4.0 * zeta1 / zeta2)
 
     def g(j):
@@ -339,13 +331,6 @@ class BoundConstants:
     violations: tuple = ()
 
 
-def _validated(alpha, beta):
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not 0 <= beta < math.inf:
-        raise ValueError("beta must be nonnegative and finite")
-
-
 def _hbot_window(eta, dks):
     """beta_max and interval(beta) -> (alpha_lo, alpha_hi) of the exact-selection
     variants, given eta and delta_(k+s(k))."""
@@ -399,7 +384,7 @@ def hbot_constants(ric, alpha, beta, check=True):
     With check=True a violated hypothesis raises ParameterWindowError naming
     every violated inequality.
     """
-    _validated(alpha, beta)
+    check_step(alpha, beta)
     dk = ric.delta_k
     dks = ric.delta_k_sk
     violations = []
@@ -445,11 +430,10 @@ def hbrot_constants(ric, alpha, beta, omega, n, variant="hbrot", check=True):
     in d2 and b3 are 0/0 at zero isometry constants and are defined there by
     their equal-constant limits (2w+1)/(2w-1) and 2/(2w-1).
     """
-    _validated(alpha, beta)
+    check_step(alpha, beta)
     if variant not in ("hbrot", "hbrotp"):
         raise ValueError(f"variant must be 'hbrot' or 'hbrotp', got {variant!r}")
-    if not is_count(n) or n < 1:
-        raise ValueError("n must be a positive integer")
+    check_count(n, "n")
     k = ric.k
     violations = []
     if not n > 3 * k:

@@ -37,22 +37,46 @@ def as_matrix(A, name="matrix"):
     return arr
 
 
-def is_count(value):
-    """True for a Python or numpy integer; False for a float or a bool.  Concrete
-    types, not numbers.Integral's slower ABC test: checked entry points such as
-    top_k_indices ask it on every call."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_count(value, name, lo=1, hi=None):
+    """The one count check: ValueError unless value is a Python or numpy
+    integer, not a bool, in lo..hi (hi=None: no upper end).  Concrete types,
+    not numbers.Integral's slower ABC test: top_k_indices asks it each call."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return
+    if hi is not None:
+        raise ValueError(f"{name}={value} must be an integer in {lo}..{hi}")
+    raise ValueError(f"{name} must be a positive integer" if lo == 1
+                     else f"{name} must be an integer >= {lo}")
+
+
+def check_step(alpha, beta):
+    """Refuse a heavy-ball step unless alpha > 0 and beta >= 0, both finite."""
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
+
+
+def as_system(A, y):
+    """(A, y) checked as a linear system: A a matrix and y a vector of its row
+    count, as float64 arrays."""
+    A = as_matrix(A, "A")
+    y = as_vector(y, "y")
+    if y.size != A.shape[0]:
+        raise ValueError(f"y has length {y.size}, expected {A.shape[0]}")
+    return A, y
 
 
 def top_k_indices(v, k):
     """Indices of the k largest-magnitude entries of v, ascending.
 
     Ties at the k-th magnitude are broken toward the smaller index, so the
-    result is deterministic across runs and platforms.
+    result is deterministic across runs and platforms.  v must be finite and
+    k pass check_count in 1..v.size.
     """
     v = as_vector(v)
-    if not is_count(k) or not 1 <= k <= v.size:
-        raise ValueError(f"k={k} must be an integer in 1..{v.size}")
+    check_count(k, "k", hi=v.size)
     order = np.argsort(-np.abs(v), kind="stable")  # stable: ties keep low index first
     return np.sort(order[:k])
 
@@ -125,19 +149,15 @@ class ProblemInstance:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        y = as_vector(self.y, "y")
+        A, y = as_system(self.A, self.y)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
         m, n = A.shape
-        if y.size != m:
-            raise ValueError(f"y has length {y.size}, expected {m}")
         with np.errstate(over="ignore"):
             scale = float(np.linalg.norm(A)) * float(np.linalg.norm(y))
         if not math.isfinite(scale):
             raise ValueError("||A||_F * ||y|| overflows float64")
-        if not is_count(self.k) or not 1 <= self.k <= min(m, n):
-            raise ValueError(f"k={self.k} must be an integer in 1..min(m, n)={min(m, n)}")
+        check_count(self.k, "k", hi=min(m, n))
         if self.truth is not None:
             truth = as_vector(self.truth, "truth")
             if truth.size != n:

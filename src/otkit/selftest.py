@@ -33,26 +33,25 @@ class CheckResult:
 
 def bisection_projection(v, k, c):
     """Reference weighted projection clip(v - lam c, 0, 1) onto the capped
-    simplex: at most 200 bisection steps on lam, from min((v - 1) / c), where
-    the mass is n, to max(v / c), where it is 0.
-
-    A step is a function of the bracket (lo, hi) alone, so once a step leaves
-    the bracket as it was, every later step would too: the loop stops there,
-    and the result is bit for bit that of all 200 steps.
+    simplex: bisection on lam, from min((v - 1) / c), where the mass is n, to
+    max(v / c), where it is 0, with no step cap.  The midpoint 0.5 lo + 0.5 hi
+    lies in the bracket and does not overflow near float max, so the loop
+    ends at adjacent floats, where a step first leaves the bracket unchanged
+    (about 56 steps on typical inputs, about 1,100 from a bracket 1e308 wide).
     """
     lo, hi = float(((v - 1.0) / c).min()), float((v / c).max())
     # minimum(maximum()) is clip without np.clip's Python wrapper, bit for bit
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.minimum(np.maximum(v - mid * c, 0.0), 1.0).sum() >= k:
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        w = np.minimum(np.maximum(v - mid * c, 0.0), 1.0)
+        if w.sum() >= k:
             if mid == lo:
-                break
+                return w
             lo = mid
         else:
             if mid == hi:
-                break
+                return w
             hi = mid
-    return np.minimum(np.maximum(v - 0.5 * (lo + hi) * c, 0.0), 1.0)
 
 
 def enumeration_binary_ot(A, y, v, k):

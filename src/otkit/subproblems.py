@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import as_matrix, as_vector, is_count, subset_blocks
+from .core import as_matrix, as_system, as_vector, check_count, subset_blocks
 from .errors import EnumerationGuardError
 
 # Exhaustive k-subset enumeration is only viable as a desk-scale oracle.
@@ -52,8 +52,7 @@ def project_capped_simplex(v, k, scale, shift=None):
     """
     v = as_vector(v)
     n = v.size
-    if not is_count(k) or not 1 <= k <= n:
-        raise ValueError(f"k={k} must be an integer in 1..{n}")
+    check_count(k, "k", hi=n)
     c = np.asarray(scale, dtype=float)
     if c.shape != v.shape or not 0.0 < c.min() <= c.max() < math.inf:
         raise ValueError(f"scale must be {n} positive finite entries")
@@ -148,8 +147,7 @@ def _selection_inputs(A, y, v, k):
     m, n = A.shape
     if y.size != m or v.size != n:
         raise ValueError(f"incompatible shapes: A is {A.shape}, y has {y.size}, v has {v.size}")
-    if not is_count(k) or not 1 <= k <= n:
-        raise ValueError(f"k={k} must be an integer in 1..{n}")
+    check_count(k, "k", hi=n)
     return A, y, v
 
 
@@ -343,11 +341,8 @@ def least_squares_on_support(A, y, support):
 
     Returns x.
     """
-    A = as_matrix(A, "A")
-    y = as_vector(y, "y")
-    m, n = A.shape
-    if y.size != m:
-        raise ValueError(f"y has length {y.size}, expected {m}")
+    A, y = as_system(A, y)
+    n = A.shape[1]
     idx = np.asarray(support)
     if idx.ndim == 1 and idx.size == 0:  # [] reads as float
         return np.zeros(n)

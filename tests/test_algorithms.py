@@ -615,12 +615,14 @@ class TestConfig:
             AlgorithmConfig(beta=-0.1)
         with pytest.raises(ValueError):
             AlgorithmConfig(omega=0)
-        with pytest.raises(ValueError, match="omega must be a positive integer"):
-            AlgorithmConfig(omega=1.5)
+        for omega in (1.5, 2.5, True, 0):
+            with pytest.raises(ValueError, match="omega must be a positive integer"):
+                AlgorithmConfig(omega=omega)
         with pytest.raises(ValueError, match="max_iter must be a positive integer"):
             AlgorithmConfig(max_iter=2.5)
-        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
-            AlgorithmConfig(max_iter=True)
+        for max_iter in (True, 0):
+            with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+                AlgorithmConfig(max_iter=max_iter)
         for field in ("alpha", "beta", "residual_tol"):
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{field} must be"):

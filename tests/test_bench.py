@@ -59,6 +59,12 @@ class TestEnsembleSpec:
     def test_k_at_least_one(self):
         assert EnsembleSpec(n=100, kappa=0.1, rho=0.01).k == 1
 
+    def test_m_at_least_one(self):
+        # kappa * n = 1e-10 rounds to 0 at 9 decimals
+        spec = EnsembleSpec(n=10, kappa=1e-11, rho=0.5)
+        assert (spec.m, spec.k) == (1, 1)
+        assert generate_instance(spec).A.shape == (1, 10)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(n=10, kappa=0.0, rho=0.1)
@@ -69,8 +75,9 @@ class TestEnsembleSpec:
         for eps in (math.nan, math.inf):
             with pytest.raises(ValueError, match="noise_eps must be finite"):
                 EnsembleSpec(n=10, kappa=0.5, rho=0.1, noise_eps=eps)
-        with pytest.raises(ValueError, match="n must be a positive integer"):
-            EnsembleSpec(n=10.0, kappa=0.5, rho=0.1)
+        for n in (10.0, 2.5, True, 0):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                EnsembleSpec(n=n, kappa=0.5, rho=0.1)
         assert EnsembleSpec(n=np.int64(10), kappa=0.5, rho=0.1).m == 5
 
 
@@ -212,6 +219,14 @@ class TestSuccessGrid:
                 [rate(algorithm, ki, ri) for ri in range(3)] for ki in range(2)]
         assert grid.rates("iht") != grid.rates("omp")
 
+    def test_algorithm_not_in_the_grid_rejected(self):
+        grid = success_grid(n=16, kappa_list=[0.5], rho_list=[0.2], trials_per_cell=1,
+                            algorithms=["htp"])
+        with pytest.raises(ValueError, match="algorithm 'omp' not in this grid"):
+            grid.rates("omp")
+        with pytest.raises(ValueError, match="algorithm 'omp' not in this grid"):
+            transition_curve(grid, "omp")
+
     def test_workers_do_not_change_results(self):
         kwargs = dict(n=24, kappa_list=[0.8], rho_list=[0.15], trials_per_cell=4,
                       algorithms=["iht", "omp"], base_seed=11)
@@ -314,10 +329,15 @@ class TestSuccessGrid:
         (dict(algorithms=["iht", "bogus"]), "unknown algorithm 'bogus'"),
         (dict(algorithms=["iht", "iht"]), "repeated"),
         (dict(trials_per_cell=1.5), "trials_per_cell must be a positive integer"),
+        (dict(trials_per_cell=True), "trials_per_cell must be a positive integer"),
+        (dict(trials_per_cell=0), "trials_per_cell must be a positive integer"),
         (dict(workers=0), "workers must be a positive integer"),
+        (dict(workers=2.5), "workers must be a positive integer"),
+        (dict(workers=True), "workers must be a positive integer"),
         (dict(noise_eps=math.nan), "noise_eps must be finite"),
         (dict(noise_eps=math.inf), "noise_eps must be finite"),
-    ], ids=["unknown-algorithm", "repeated-algorithm", "fractional-trials", "zero-workers",
+    ], ids=["unknown-algorithm", "repeated-algorithm", "fractional-trials", "bool-trials",
+            "zero-trials", "zero-workers", "fractional-workers", "bool-workers",
             "nan-noise", "infinite-noise"])
     def test_bad_request_rejected_before_any_trial(self, monkeypatch, bad, message):
         trials = []

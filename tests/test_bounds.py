@@ -47,7 +47,7 @@ class TestRoots:
     @pytest.mark.parametrize("root", [gamma_star_omega, gamma_sharp_omega])
     def test_omega_must_be_an_integer(self, root):
         value = root(1)
-        for omega in (1.0, 1.5, True):
+        for omega in (1.0, 1.5, 2.5, True, 0):
             with pytest.raises(ValueError, match="omega must be a positive integer"):
                 root(omega)
         assert root(np.int64(1)) == value
@@ -67,7 +67,7 @@ class TestSofK:
             s_of_k(0)
 
     def test_rejects_non_integers(self):
-        for k in (2.5, 3.0, True):
+        for k in (2.5, 3.0, True, 0):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 s_of_k(k)
         assert s_of_k(np.int64(3)) == 1
@@ -89,7 +89,7 @@ class TestXi:
             xi_q(0)
 
     def test_rejects_non_integers(self):
-        for q in (2.5, 2.0):
+        for q in (2.5, 2.0, True, 0):
             with pytest.raises(ValueError, match="q must be a positive integer"):
                 xi_q(q)
         assert xi_q(np.int64(2)) == xi_q(2)
@@ -121,7 +121,7 @@ class TestL2Bound:
             l2_bound_g(1.0, 2.0, 5)
         with pytest.raises(ValueError):
             l2_bound_g(2.0, 1.0, 1)
-        for r in (2.0, 12.0, math.inf, True):
+        for r in (2.0, 12.0, math.inf, True, 2.5, 1):
             with pytest.raises(ValueError, match="r must be an integer"):
                 l2_bound_g(2.0, 1.0, r)
         for zeta1, zeta2 in ((math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0)):
@@ -311,7 +311,7 @@ class TestRicProfile:
             RICProfile(k=2, delta_k=-0.1, delta_2k=0.2, delta_3k=0.3, delta_kp1=0.15)
 
     def test_k_must_be_an_integer(self):
-        for k in (2.5, 2.0, True):
+        for k in (2.5, 2.0, True, 0):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 RICProfile(k=k, delta_k=0.1, delta_2k=0.2, delta_3k=0.3, delta_kp1=0.15)
         assert RICProfile(k=np.int64(3), delta_k=0.1, delta_2k=0.2, delta_3k=0.3,
@@ -372,10 +372,11 @@ class TestRicProfile:
 
     def test_non_integral_counts_rejected(self):
         A = equiangular_frame(6)
-        with pytest.raises(ValueError, match="k=2.0 must be an integer"):
-            ric_profile(A, 2.0)
-        with pytest.raises(ValueError, match="order=2.0 must be an integer"):
-            ric_exact(A, 2.0)
+        for count in (2.0, 2.5, True, 0, 7):
+            with pytest.raises(ValueError, match=f"k={count} must be an integer"):
+                ric_profile(A, count)
+            with pytest.raises(ValueError, match=f"order={count} must be an integer"):
+                ric_exact(A, count)
         assert ric_exact(A, np.int64(2)) == pytest.approx(1 / 5)
 
 

@@ -6,9 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit.core
-from otkit.core import (ProblemInstance, as_matrix, as_vector, hard_threshold,
-                        load_matrix_csv, load_vector_csv, save_matrix_csv,
+from otkit.core import (ProblemInstance, as_matrix, as_vector, check_count,
+                        hard_threshold, load_matrix_csv, load_vector_csv, save_matrix_csv,
                         save_vector_csv, subset_blocks, top_k_indices)
+
+
+def test_check_count():
+    for value in (2, np.int64(2), np.uint8(2)):
+        check_count(value, "n", lo=2, hi=2)
+        check_count(value, "n")
+    check_count(10**30, "n", lo=2)
+    for value, lo, hi, message in [
+        (True, 1, None, "n must be a positive integer"),
+        (2.0, 1, None, "n must be a positive integer"),
+        (0, 1, None, "n must be a positive integer"),
+        (None, 1, None, "n must be a positive integer"),
+        (1, 2, None, "n must be an integer >= 2"),
+        (np.int64(1), 2, None, "n must be an integer >= 2"),
+        (False, 0, None, "n must be an integer >= 0"),
+        (0, 1, 3, "n=0 must be an integer in 1..3"),
+        (4, 1, 3, "n=4 must be an integer in 1..3"),
+        (np.int64(4), 1, 3, "n=4 must be an integer in 1..3"),
+        (np.float64(2.0), 1, 3, "n=2.0 must be an integer in 1..3"),
+        (True, 1, 3, "n=True must be an integer in 1..3"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            check_count(value, "n", lo=lo, hi=hi)
+        assert str(info.value) == message
 
 
 class TestTopK:
@@ -24,9 +48,9 @@ class TestTopK:
 
     @pytest.mark.parametrize("k", [0, 4, -1, True, 2.0, 2.5])
     def test_k_out_of_range(self, k):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^k={k} must be an integer in 1\.\.3$"):
             top_k_indices(np.array([1.0, 2.0, 3.0]), k)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^k={k} must be an integer in 1\.\.3$"):
             hard_threshold(np.array([1.0, 2.0, 3.0]), k)
 
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=12, unique=True),
@@ -102,7 +126,7 @@ class TestProblemInstance:
 
     def test_k_above_m_rejected(self, rng):
         A = rng.normal(0, 1, (3, 8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k=4 must be an integer in 1\.\.3$"):
             ProblemInstance(A=A, y=np.ones(3), k=4)
 
     def test_non_integral_k_rejected(self, rng):

@@ -265,6 +265,16 @@ class TestBisectionOracle:
         assert (bisection_projection(v, k, c).tobytes()
                 == bisection_all_steps(v, k, c)[0].tobytes())
 
+    @pytest.mark.parametrize("v, k, c, expected", [
+        # 200 halvings from a bracket 1e308 wide leave it about 1e248 wide
+        ([1e308, 1e308, 0.25, -0.5], 3, [1.0, 2.0, 0.5, 1.0], [1.0, 1.0, 2 / 3, 1 / 3]),
+        # 0.5 * (lo + hi) overflows to inf
+        ([1.7e308, 1.6e308, 1.65e308], 2, [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]),
+    ], ids=["wide bracket", "midpoint past float max"])
+    def test_near_float_max(self, v, k, c, expected):
+        w = bisection_projection(np.array(v), k, np.array(c))
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-12)
+
 
 def two_product_relaxed_ot(A, y, v, k):
     """solve_relaxed_ot's iteration in its Gram form, written independently of
@@ -457,7 +467,7 @@ class TestRelaxedOT:
             tracemalloc.stop()
         assert peak < 20e6
 
-    @pytest.mark.parametrize("k", [True, 2.0, 2.5])
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5, 0, 7])
     def test_non_integer_k_rejected(self, rng, k):
         A, y, v = rng.standard_normal((4, 6)), rng.standard_normal(4), rng.standard_normal(6)
         with pytest.raises(ValueError, match="must be an integer"):
@@ -700,7 +710,7 @@ class TestBinaryOT:
         with pytest.raises(EnumerationGuardError):
             solve_binary_ot(A, rng.standard_normal(4), rng.standard_normal(31), 2)
 
-    @pytest.mark.parametrize("k", [True, 2.0, 2.5])
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5, 0, 7])
     def test_non_integer_k_rejected(self, rng, k):
         A, y, v = rng.standard_normal((4, 6)), rng.standard_normal(4), rng.standard_normal(6)
         with pytest.raises(ValueError, match="must be an integer"):
