@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # top_k_indices is not called here, but instrumentation patches this name too
-from .core import (IterateTrace, ProblemInstance, check_count, check_step,
-                   hard_threshold, top_k_indices)  # noqa: F401
+from .core import (IterateTrace, ProblemInstance, check_count, check_real,
+                   check_step, hard_threshold, top_k_indices)  # noqa: F401
 from .subproblems import (LS_ERROR_MAX, least_squares_on_support,
                           solve_binary_ot, solve_relaxed_ot)
 
@@ -99,9 +99,10 @@ class AlgorithmConfig:
 
     The defaults are the operating point used throughout the benchmarks and
     the CLI.  alpha/beta are the gradient and momentum weights of the
-    heavy-ball family (beta=0 disables momentum; the baselines ignore both);
-    omega counts relaxed compressions per iteration and only affects the
-    relaxed variants.  Every run starts from zero.
+    heavy-ball family (beta=0 disables momentum; the baselines ignore both,
+    and omp ignores max_iter too: it stops after k selections or at
+    residual_tol); omega counts relaxed compressions per iteration and only
+    affects the relaxed variants.  Every run starts from zero.
     """
 
     variant: str = "hbrotp"
@@ -117,8 +118,7 @@ class AlgorithmConfig:
         check_step(self.alpha, self.beta)
         check_count(self.omega, "omega")
         check_count(self.max_iter, "max_iter")
-        if not 0 <= self.residual_tol < math.inf:
-            raise ValueError("residual_tol must be finite and nonnegative")
+        check_real(self.residual_tol, "residual_tol")
 
 
 @dataclass
@@ -127,7 +127,8 @@ class RunResult:
 
     stop_reason is "residual_tol", "stagnation", "max_iter" or "diverged": a
     bound on the Gram entries the next selection would form overflows, and
-    x_final is the last iterate, which is finite.  inner_flags counts
+    x_final is the last iterate, which is finite.  For omp, "max_iter" means
+    it made all k selections, however small cfg.max_iter is.  inner_flags counts
     relaxed-compression solves that hit their iteration cap, neither stalled
     nor stopped early by the refit variant's fit test (the outer loop
     continues regardless).

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algorithms import ALL_VARIANTS, config_for, run
-from .core import ProblemInstance, check_count
+from .core import ProblemInstance, check_count, check_real
 
 GENERATOR_NAME = "pcg64"
 SUCCESS_REL_TOL = 1e-3  # a trial succeeds iff ||x - truth|| / ||truth|| <= this
@@ -45,12 +45,9 @@ class EnsembleSpec:
 
     def __post_init__(self):
         check_count(self.n, "n")
-        if not 0 < self.kappa <= 1:
-            raise ValueError("kappa must be in (0, 1]")
-        if not 0 < self.rho <= 1:
-            raise ValueError("rho must be in (0, 1]")
-        if not 0 <= self.noise_eps < math.inf:
-            raise ValueError("noise_eps must be finite and nonnegative")
+        check_real(self.kappa, "kappa", positive=True, at_most=1)
+        check_real(self.rho, "rho", positive=True, at_most=1)
+        check_real(self.noise_eps, "noise_eps")
 
     @property
     def m(self):
@@ -235,8 +232,9 @@ def success_grid(n, kappa_list, rho_list, trials_per_cell, algorithms,
 def transition_point(points):
     """rho at which a success curve first crosses 50% from above.
 
-    points is a sequence of (rho, rate) sorted by rho; piecewise-linear
-    interpolation locates the crossing.  Without a crossing, a curve whose
+    points is a sequence of (rho, rate) sorted by rho, each rho in (0, 1] and
+    each rate in [0, 1] (NaN refused); piecewise-linear interpolation locates
+    the crossing.  Without a crossing, a curve whose
     last rate is exactly 50% returns its last rho with extrapolated=False;
     otherwise the nearest boundary is returned with extrapolated=True.
 
@@ -247,6 +245,9 @@ def transition_point(points):
         raise ValueError("need at least two (rho, rate) points")
     if any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
         raise ValueError("points must be strictly increasing in rho")
+    for rho, rate in pts:
+        check_real(rho, "rho", positive=True, at_most=1)
+        check_real(rate, "rate", at_most=1)
     for (r0, s0), (r1, s1) in zip(pts, pts[1:]):
         if s0 >= 0.5 > s1:
             return r0 + (r1 - r0) * (s0 - 0.5) / (s0 - s1), False

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, check_count, check_step, subset_blocks
+from .core import as_matrix, check_count, check_real, check_step, subset_blocks
 from .errors import EnumerationGuardError, ParameterWindowError
 
 RIC_ENUM_MAX_SUPPORTS = 10**6
@@ -132,7 +132,8 @@ class RICProfile:
     """The isometry constants a sparsity level k actually consumes.
 
     delta_kp1 is the order-(k+1) constant, used in place of delta_k whenever
-    k is odd.
+    k is odd.  The constants must be finite, nonnegative and ordered,
+    delta_k <= delta_kp1 <= delta_2k <= delta_3k up to 1e-12.
     """
 
     k: int
@@ -143,9 +144,8 @@ class RICProfile:
 
     def __post_init__(self):
         check_count(self.k, "k")
-        deltas = (self.delta_k, self.delta_kp1, self.delta_2k, self.delta_3k)
-        if any(d < 0 for d in deltas):
-            raise ValueError("isometry constants must be nonnegative")
+        for delta in (self.delta_k, self.delta_kp1, self.delta_2k, self.delta_3k):
+            check_real(delta, "isometry constants")
         eps = 1e-12
         if not (self.delta_k <= self.delta_kp1 + eps
                 and self.delta_kp1 <= self.delta_2k + eps
@@ -254,18 +254,20 @@ def l2_bound_g(zeta1, zeta2, r):
     """l2 bound for a length-r vector with l1 norm <= zeta1 and sup norm <= zeta2.
 
     g(j) = zeta1/sqrt(j) + sqrt(j) zeta2/4 decreases up to t0 = floor(4 zeta1/zeta2)
-    and increases after; the bound is g(r) below t0 and min(g(t0), g(t0+1)) beyond.
+    and increases after; the bound is g(r) up to t0 and min(g(t0), g(t0+1)) beyond.
+    r is compared with 4 zeta1/zeta2 itself, so a ratio that overflows gives g(r).
     """
     if not (math.isfinite(zeta1) and zeta1 > zeta2 > 0):
         raise ValueError("need finite zeta1 > zeta2 > 0")
     check_count(r, "r", lo=2)
-    t0 = math.floor(4.0 * zeta1 / zeta2)
+    ratio = 4.0 * zeta1 / zeta2
 
     def g(j):
         return zeta1 / math.sqrt(j) + math.sqrt(j) * zeta2 / 4.0
 
-    if r <= t0:
+    if r <= ratio:
         return g(r)
+    t0 = math.floor(ratio)
     return min(g(t0), g(t0 + 1))
 
 
@@ -277,10 +279,10 @@ def geometric_envelope(a0, a1, b1, b2, b3, p):
     (at p = 1 it is at least a1).  a0, a1 are error norms (finite and
     nonnegative); p is an integer or an array of integers.
     """
-    if not all(0 <= a < math.inf for a in (a0, a1)):
-        raise ValueError("a0, a1 must be finite and nonnegative")
-    if not all(0 <= b < math.inf for b in (b1, b2, b3)):
-        raise ValueError("b1, b2, b3 must be finite and nonnegative")
+    for a in (a0, a1):
+        check_real(a, "a0, a1")
+    for b in (b1, b2, b3):
+        check_real(b, "b1, b2, b3")
     if b1 + b2 >= 1:
         raise ParameterWindowError(f"b1+b2={b1 + b2} >= 1: no contraction")
     p_arr = np.asarray(p)
@@ -337,8 +339,7 @@ def _hbot_window(eta, dks):
     root5 = math.sqrt(5.0)
 
     def interval(beta):
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        check_real(beta, "beta")
         return ((1.0 + 2.0 * beta - 1.0 / eta) / (1.0 - root5 * dks),
                 (1.0 + 1.0 / eta) / (1.0 + root5 * dks))
 
@@ -351,8 +352,7 @@ def _hbrot_window(d0, d1, d2, target):
     shift = 1.0 - target
 
     def interval(beta):
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        check_real(beta, "beta")
         return (((d0 + d2 + 2.0) * beta + d0 + shift) / (d0 - d1 + 1.0),
                 (d0 + 2.0 - shift - (d2 - d0) * beta) / (d0 + d1 + 1.0))
 
@@ -501,8 +501,9 @@ def parameter_window(ric, omega=1, variant="hbot", n=None):
 
     Returns _hbot_window's or _hbrot_window's (beta_max, interval), the window
     hbot_constants/hbrot_constants check; interval(beta) -> (alpha_lo, alpha_hi)
-    refuses a negative beta.  For beta < beta_max the interval is nonempty and
-    contains 1 + beta.  The relaxed variants need n (for the block count).
+    refuses a negative, NaN or infinite beta.  For beta < beta_max the
+    interval is nonempty and contains 1 + beta.  The relaxed variants need n
+    (for the block count).
 
     The isometry hypotheses are the constants' own: when they hold, beta_max > 0
     and 1 lies inside interval(0), so the constants at (alpha, beta) = (1, 0)
@@ -523,11 +524,13 @@ def convergence_envelope(bc, a0, a1, noise_norm, p):
     """Evaluate the per-iteration error envelope at step p >= 1 (int or array).
 
     a0, a1 are the starting error norms; noise_norm is ||nu'|| (the noise plus
-    the off-support tail image).  The error obeys the recurrence the constants
-    function stored in bc.recurrence, a_{p+1} <= b1 a_p + b2 a_{p-1} + b3 ||nu'||;
-    this evaluates its geometric_envelope.
+    the off-support tail image), checked under its own name.  The error obeys
+    the recurrence the constants function stored in bc.recurrence,
+    a_{p+1} <= b1 a_p + b2 a_{p-1} + b3 ||nu'||; this evaluates its
+    geometric_envelope.
     """
     if bc.recurrence is None:
         raise ParameterWindowError("no contraction: no theta below 1 for these constants")
+    check_real(noise_norm, "noise_norm")
     b1, b2, b3 = bc.recurrence
     return geometric_envelope(a0, a1, b1, b2, b3 * noise_norm, p)

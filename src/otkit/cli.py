@@ -38,14 +38,19 @@ def _print_config(name, pairs):
 
 
 def _frange(lo, hi, step):
+    """lo, lo + step, ... through hi, rounded to 12 decimals.  Refuses a bound or
+    step that is not finite, step <= 0, hi < lo and a step count that overflows
+    to inf; a huge finite count is built as asked."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"range bounds and step must be finite: {lo}..{hi} by {step}")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
         raise ValueError(f"empty range: {lo}..{hi}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + i * step, 12) for i in range(count)]
+    steps = (hi - lo) / step + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"range {lo}..{hi} by {step} has too many points to count")
+    return [round(lo + i * step, 12) for i in range(int(math.floor(steps)) + 1)]
 
 
 def _check_writable(*paths):

@@ -50,12 +50,24 @@ def check_count(value, name, lo=1, hi=None):
                      else f"{name} must be an integer >= {lo}")
 
 
+def check_real(value, name, positive=False, at_most=math.inf):
+    """The one real-number check: ValueError unless value is finite, >= 0
+    (> 0 if positive) and <= at_most; each comparison is false for NaN.  The
+    message is "{name} must be finite and nonnegative" ("positive and finite"
+    if positive) or, for a finite at_most, "{name} must be in [0, at_most]"
+    ("(0, at_most]" if positive)."""
+    if (0 < value if positive else 0 <= value) and value <= at_most and value < math.inf:
+        return
+    if at_most < math.inf:
+        raise ValueError(f"{name} must be in {'(' if positive else '['}0, {at_most:g}]")
+    raise ValueError(f"{name} must be positive and finite" if positive
+                     else f"{name} must be finite and nonnegative")
+
+
 def check_step(alpha, beta):
-    """Refuse a heavy-ball step unless alpha > 0 and beta >= 0, both finite."""
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not 0 <= beta < math.inf:
-        raise ValueError("beta must be nonnegative and finite")
+    """The one step check: check_real on alpha (positive), then on beta."""
+    check_real(alpha, "alpha", positive=True)
+    check_real(beta, "beta")
 
 
 def as_system(A, y):

@@ -167,7 +167,7 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     path to a minimiser, not the set of minimisers.  A zero column (v_i = 0),
     or one whose squared norm underflows, takes the largest column's weight.
     The loop calls the projection's unchecked kernel, _project: k was
-    checked on entry, c = 1/d is positive and finite by construction, and
+    checked on entry, c = 1/d is finite and positive by construction, and
     the search points are finite by the bound below.  The first projection
     starts cold, each later one from the shift the previous one returned;
     consecutive iterates share nearly the same shift, so the Newton

@@ -448,9 +448,11 @@ class TestBaselines:
         truth[[4, 17]] = [1.0, -2.0]
         # noiseless y of sparsity 2 < k: with residual_tol=0 OMP still spends
         # its whole budget of k selections, with no stagnation stop
-        for y, tol in ((y, 1e-10), (A @ truth, 0.0)):
+        # max_iter=1: omp ignores it and still makes its k selections
+        for y, options in ((y, dict(residual_tol=1e-10)), (A @ truth, dict(residual_tol=0.0)),
+                           (y, dict(max_iter=1))):
             problem = ProblemInstance(A=A, y=y, k=4)
-            result = run(problem, config_for("omp", residual_tol=tol))
+            result = run(problem, config_for("omp", **options))
             assert result.iterations == 4
             assert np.count_nonzero(result.trace.iterates[-1]) == 4
             assert result.stop_reason == "max_iter"

@@ -75,6 +75,10 @@ class TestEnsembleSpec:
         for eps in (math.nan, math.inf):
             with pytest.raises(ValueError, match="noise_eps must be finite"):
                 EnsembleSpec(n=10, kappa=0.5, rho=0.1, noise_eps=eps)
+            with pytest.raises(ValueError, match=r"kappa must be in \(0, 1\]"):
+                EnsembleSpec(n=10, kappa=eps, rho=0.1)
+            with pytest.raises(ValueError, match=r"rho must be in \(0, 1\]"):
+                EnsembleSpec(n=10, kappa=0.5, rho=eps)
         for n in (10.0, 2.5, True, 0):
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 EnsembleSpec(n=n, kappa=0.5, rho=0.1)
@@ -379,6 +383,25 @@ class TestTransitionPoint:
 
     def test_exact_half_at_last_rho_is_not_extrapolated(self):
         assert transition_point([(0.1, 1.0), (0.2, 0.5)]) == (0.2, False)
+
+    @pytest.mark.parametrize("points, message", [
+        ([(0.1, 1.0), (math.nan, 0.0)], "rho must be in (0, 1]"),
+        ([(0.0, 1.0), (0.2, 0.0)], "rho must be in (0, 1]"),
+        ([(0.5, 1.0), (1.5, 0.0)], "rho must be in (0, 1]"),
+        ([(0.1, math.nan), (0.2, 0.0)], "rate must be in [0, 1]"),
+        ([(0.1, 1.0), (0.2, math.inf)], "rate must be in [0, 1]"),
+        ([(0.1, 1.5), (0.2, 0.0)], "rate must be in [0, 1]"),
+        ([(0.1, 1.0), (0.2, -0.1)], "rate must be in [0, 1]"),
+    ], ids=["nan-rho", "zero-rho", "rho-above-one", "nan-rate", "infinite-rate",
+            "rate-above-one", "negative-rate"])
+    def test_out_of_range_point_rejected(self, points, message):
+        # a nan rho passes the increasing test; unchecked it returned (nan, False)
+        with pytest.raises(ValueError) as info:
+            transition_point(points)
+        assert str(info.value) == message
+
+    def test_range_ends_accepted(self):
+        assert transition_point([(0.5, 1.0), (1.0, 0.0)]) == (0.75, False)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

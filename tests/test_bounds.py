@@ -106,6 +106,8 @@ class TestL2Bound:
         g = lambda j: zeta1 / math.sqrt(j) + math.sqrt(j) * zeta2 / 4
         assert l2_bound_g(zeta1, zeta2, t0) == g(t0)
         assert l2_bound_g(zeta1, zeta2, t0 + 5) == min(g(t0), g(t0 + 1))
+        # 4 zeta1 / zeta2 overflows to inf: every r lies below the turning point
+        assert l2_bound_g(1e300, 1e-10, 5) == 1e300 / math.sqrt(5) + math.sqrt(5) * 1e-10 / 4
 
     def test_dominates_samples(self, rng):
         for _ in range(200):
@@ -169,6 +171,7 @@ class TestGeometricEnvelope:
     @pytest.mark.parametrize("b1, b2, b3", [
         (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan),
         (0.0, 0.0, math.inf), (-0.1, 0.0, 0.0), (0.0, -0.1, 0.0), (0.0, 0.0, -0.1),
+        (math.inf, 0.0, 0.0), (0.0, math.inf, 0.0),
     ])
     def test_coefficients_must_be_finite_and_nonnegative(self, b1, b2, b3):
         with pytest.raises(ValueError, match="b1, b2, b3 must be finite and nonnegative"):
@@ -176,6 +179,7 @@ class TestGeometricEnvelope:
 
     @pytest.mark.parametrize("a0, a1", [
         (math.nan, 1.0), (-5.0, 1.0), (1.0, math.inf), (1.0, math.nan), (1.0, -0.1),
+        (math.inf, 1.0),
     ])
     def test_error_norms_must_be_finite_and_nonnegative(self, a0, a1):
         with pytest.raises(ValueError, match="a0, a1 must be finite and nonnegative"):
@@ -307,8 +311,16 @@ class TestRicProfile:
             RICProfile(k=2, delta_k=0.3, delta_2k=0.2, delta_3k=0.4, delta_kp1=0.35)
 
     def test_negative_constant_rejected(self):
-        with pytest.raises(ValueError, match="isometry constants must be nonnegative"):
+        with pytest.raises(ValueError, match="isometry constants must be finite and nonnegative"):
             RICProfile(k=2, delta_k=-0.1, delta_2k=0.2, delta_3k=0.3, delta_kp1=0.15)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["delta_k", "delta_kp1", "delta_2k", "delta_3k"])
+    def test_non_finite_constant_rejected(self, field, value):
+        deltas = dict(delta_k=0.1, delta_kp1=0.15, delta_2k=0.2, delta_3k=0.3)
+        with pytest.raises(ValueError) as info:
+            RICProfile(k=2, **{**deltas, field: value})
+        assert str(info.value) == "isometry constants must be finite and nonnegative"
 
     def test_k_must_be_an_integer(self):
         for k in (2.5, 2.0, True, 0):
@@ -388,9 +400,9 @@ def zero_ric(k):
     (math.nan, 0.0, "alpha must be positive and finite"),
     (math.inf, 0.0, "alpha must be positive and finite"),
     (0.0, 0.0, "alpha must be positive and finite"),
-    (1.0, math.nan, "beta must be nonnegative and finite"),
-    (1.0, math.inf, "beta must be nonnegative and finite"),
-    (1.0, -0.1, "beta must be nonnegative and finite"),
+    (1.0, math.nan, "beta must be finite and nonnegative"),
+    (1.0, math.inf, "beta must be finite and nonnegative"),
+    (1.0, -0.1, "beta must be finite and nonnegative"),
 ])
 def test_constants_refuse_bad_step_parameters(alpha, beta, message):
     with pytest.raises(ValueError, match=message):
@@ -558,8 +570,17 @@ class TestParameterWindow:
     @pytest.mark.parametrize("variant", ["hbot", "hbotp", "hbrot", "hbrotp"])
     def test_interval_refuses_negative_beta(self, variant):
         _, interval = parameter_window(zero_ric(2), variant=variant, n=20)
-        with pytest.raises(ValueError, match="beta must be nonnegative"):
+        with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
             interval(-0.1)
+
+    @pytest.mark.parametrize("variant", ["hbot", "hbotp", "hbrot", "hbrotp"])
+    def test_interval_refuses_non_finite_beta(self, variant):
+        # unchecked, hbrotp's interval(nan) was (nan, nan) and interval(inf) (inf, -inf)
+        _, interval = parameter_window(ric_profile(equiangular_frame(14), 1),
+                                       variant=variant, n=14)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^beta must be finite and nonnegative$"):
+                interval(beta)
 
     def test_zero_delta_exact_selection(self):
         beta_max, interval = parameter_window(zero_ric(2), variant="hbot")
@@ -687,6 +708,12 @@ class TestEnvelopeDispatch:
         # noise_norm only scales b3, so a nan must be refused, not enveloped
         bc = hbot_constants(zero_ric(2), alpha=1.5, beta=0.0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
+            convergence_envelope(bc, a0=1.0, a1=1.0, noise_norm=noise_norm, p=3)
+
+    @pytest.mark.parametrize("noise_norm", [math.nan, math.inf, -1.0])
+    def test_noise_norm_refused_under_its_own_name(self, noise_norm):
+        bc = hbot_constants(zero_ric(2), alpha=1.5, beta=0.0)
+        with pytest.raises(ValueError, match=r"^noise_norm must be finite and nonnegative$"):
             convergence_envelope(bc, a0=1.0, a1=1.0, noise_norm=noise_norm, p=3)
 
     def test_exact_selection_envelope_formula(self):

@@ -251,6 +251,17 @@ class TestGrid:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--kappa-min=-1e308", "--kappa-max=1e308"],
+                                       ["--rho-step=1e-320"]], ids=["wide", "tiny-step"])
+    def test_uncountable_range_rejected(self, tmp_path, capsys, flags):
+        # (hi - lo) / step overflows to inf
+        out = tmp_path / "g.csv"
+        code = run_cli("grid", "--n", "16", "--trials", "1", "--algos", "iht",
+                       *flags, "--threads", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "has too many points to count" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["0", "-0.1"])
     def test_non_positive_step_rejected(self, tmp_path, capsys, step):
         out = tmp_path / "g.csv"
@@ -435,11 +446,21 @@ class TestBounds:
                        "--alpha", "nan", "--k", "2", "--variant", "hbot")
         assert code == EXIT_USAGE
 
-    def test_bad_delta_ordering_is_usage_error(self):
+    def test_bad_delta_ordering_is_usage_error(self, capsys):
         code = run_cli("bounds", "--delta-k", "0.3", "--delta-2k", "0.1",
                        "--delta-3k", "0.2", "--delta-kp1", "0.3", "--k", "2",
                        "--variant", "hbot")
         assert code == EXIT_USAGE
+        # an infinite constant is an argument error, before any constant prints
+        capsys.readouterr()
+        code = run_cli("bounds", "--delta-k", "0.05", "--delta-2k", "0.08",
+                       "--delta-3k", "inf", "--k", "10", "--n", "100",
+                       "--variant", "hbrotp")
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "isometry constants must be finite and nonnegative" in captured.err
+        assert captured.out.startswith("[bounds] config:")
+        assert len(captured.out.splitlines()) == 1
 
 
 class TestRic:

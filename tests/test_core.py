@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, islice, zip_longest
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit.core
-from otkit.core import (ProblemInstance, as_matrix, as_vector, check_count,
+from otkit.core import (ProblemInstance, as_matrix, as_vector, check_count, check_real,
                         hard_threshold, load_matrix_csv, load_vector_csv, save_matrix_csv,
                         save_vector_csv, subset_blocks, top_k_indices)
 
@@ -32,6 +33,40 @@ def test_check_count():
     ]:
         with pytest.raises(ValueError) as info:
             check_count(value, "n", lo=lo, hi=hi)
+        assert str(info.value) == message
+
+
+def test_check_real():
+    for value in (0, 0.0, 2.5, np.float64(1e308)):
+        check_real(value, "x")
+    for value in (1e-300, 1, np.int64(3)):
+        check_real(value, "x", positive=True)
+    for value in (0.0, 1, 0.5):
+        check_real(value, "x", at_most=1)
+    check_real(1.0, "x", positive=True, at_most=1)
+    nonnegative = "x must be finite and nonnegative"
+    positive = "x must be positive and finite"
+    for value, options, message in [
+        (math.nan, {}, nonnegative),
+        (math.inf, {}, nonnegative),
+        (-math.inf, {}, nonnegative),
+        (-0.1, {}, nonnegative),
+        (np.float64(math.nan), {}, nonnegative),
+        (math.nan, dict(positive=True), positive),
+        (math.inf, dict(positive=True), positive),
+        (-math.inf, dict(positive=True), positive),
+        (-0.1, dict(positive=True), positive),
+        (0.0, dict(positive=True), positive),
+        (1 + 1e-15, dict(at_most=1), "x must be in [0, 1]"),
+        (math.nan, dict(at_most=1), "x must be in [0, 1]"),
+        (math.inf, dict(at_most=1), "x must be in [0, 1]"),
+        (-0.1, dict(at_most=1), "x must be in [0, 1]"),
+        (0.0, dict(positive=True, at_most=1), "x must be in (0, 1]"),
+        (1 + 1e-15, dict(positive=True, at_most=1), "x must be in (0, 1]"),
+        (-math.inf, dict(positive=True, at_most=1), "x must be in (0, 1]"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            check_real(value, "x", **options)
         assert str(info.value) == message
 
 
