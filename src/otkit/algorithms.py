@@ -27,6 +27,19 @@ STAGNATION_RTOL = 1e-14
 STAGNATION_RUNS = 3
 
 
+def _norm(x):
+    """||x||_2 of a finite vector, whose square may overflow.  Where the
+    square is finite it is np.linalg.norm's sqrt(x.dot(x)), bit for bit;
+    elsewhere x is scaled by its largest magnitude first.  np.vdot forms the
+    sum x.dot(x) forms, but reports no overflow, so neither path warns."""
+    square = float(np.vdot(x, x))
+    if square < math.inf:
+        return math.sqrt(square)
+    big = float(np.maximum.reduce(abs(x)))
+    scaled = x / big
+    return big * math.sqrt(scaled.dot(scaled))
+
+
 def _search_point(A, r, x, x_prev, alpha, beta):
     """u = x + alpha A^T r + beta (x - x_prev), r = y - A x, on already-checked
     inputs; the unit step (alpha=1, beta=0) forms neither weight's term."""
@@ -146,7 +159,7 @@ def _record(trace, problem, x, residual_norm):
     trace.iterates.append(x.copy())
     trace.residual_norms.append(residual_norm)
     if trace.errors_to_truth is not None:
-        trace.errors_to_truth.append(float(np.linalg.norm(x - problem.truth)))
+        trace.errors_to_truth.append(_norm(x - problem.truth))
 
 
 def _start_trace(problem, starts):
@@ -247,7 +260,7 @@ def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
             break
         # (||A||_F ||u||)^2 bounds every Gram entry the selection forms, and
         # ||u|| <= ||x|| + alpha ||A||_F ||y - A x|| + beta ||x - x_prev||
-        x_norm = float(np.linalg.norm(x_curr))
+        x_norm = _norm(x_curr)
         bound = a_fro * (x_norm + alpha * a_fro * trace.residual_norms[-1] + beta * step)
         if not math.isfinite(bound * bound):  # Python floats overflow to inf quietly
             reason = "diverged"
@@ -259,7 +272,7 @@ def run(problem: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
         iters += 1
 
         _record(trace, problem, x_next, float(np.linalg.norm(r)))
-        step = float(np.linalg.norm(x_next - x_curr))
+        step = _norm(x_next - x_curr)
         if step <= STAGNATION_RTOL * (1.0 + x_norm):
             stagnant += 1
         else:

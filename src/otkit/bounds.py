@@ -524,7 +524,8 @@ def convergence_envelope(bc, a0, a1, noise_norm, p):
     """Evaluate the per-iteration error envelope at step p >= 1 (int or array).
 
     a0, a1 are the starting error norms; noise_norm is ||nu'|| (the noise plus
-    the off-support tail image), checked under its own name.  The error obeys
+    the off-support tail image), checked under its own name, as is a
+    noise_norm whose product with b3 overflows.  The error obeys
     the recurrence the constants function stored in bc.recurrence,
     a_{p+1} <= b1 a_p + b2 a_{p-1} + b3 ||nu'||; this evaluates its
     geometric_envelope.
@@ -533,4 +534,7 @@ def convergence_envelope(bc, a0, a1, noise_norm, p):
         raise ParameterWindowError("no contraction: no theta below 1 for these constants")
     check_real(noise_norm, "noise_norm")
     b1, b2, b3 = bc.recurrence
+    if not math.isfinite(b3 * noise_norm):
+        raise ValueError(f"noise_norm * b3 overflows float64 (noise_norm = {noise_norm:g}, "
+                         f"b3 = {b3:g})")
     return geometric_envelope(a0, a1, b1, b2, b3 * noise_norm, p)

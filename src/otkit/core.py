@@ -151,8 +151,11 @@ class ProblemInstance:
     """One sparse linear inverse instance: recover a k-sparse x from y = A x + noise.
 
     truth is optional: with it, runs record each iterate's error to it.
-    A problem whose ||A||_F ||y|| overflows float64 is refused: the first
-    product A^T y of a run can already overflow there.
+    A problem whose ||y||^2 or ||A||_F^2 overflows float64 is refused: the
+    relaxed objective starts from ||y||^2, and a run reads ||A||_F through
+    its square.  Both finite keep ||A||_F ||y|| finite too, since the square
+    of sqrt(float max) rounds below it, and that product bounds the run's
+    first A^T y.
     """
 
     A: np.ndarray
@@ -165,10 +168,11 @@ class ProblemInstance:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
         m, n = A.shape
-        with np.errstate(over="ignore"):
-            scale = float(np.linalg.norm(A)) * float(np.linalg.norm(y))
-        if not math.isfinite(scale):
-            raise ValueError("||A||_F * ||y|| overflows float64")
+        with np.errstate(over="ignore"):  # each norm is the root of its square
+            norms = float(np.linalg.norm(y)), float(np.linalg.norm(A))
+        for square, norm in zip(("||y||^2", "||A||_F^2"), norms):
+            if not math.isfinite(norm):
+                raise ValueError(f"{square} overflows float64")
         check_count(self.k, "k", hi=min(m, n))
         if self.truth is not None:
             truth = as_vector(self.truth, "truth")

@@ -167,32 +167,22 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     path to a minimiser, not the set of minimisers.  A zero column (v_i = 0),
     or one whose squared norm underflows, takes the largest column's weight.
     The loop calls the projection's unchecked kernel, _project: k was
-    checked on entry, c = 1/d is finite and positive by construction, and
-    the search points are finite by the bound below.  The first projection
-    starts cold, each later one from the shift the previous one returned;
-    consecutive iterates share nearly the same shift, so the Newton
-    projection usually needs a single pass.  With k = n, w = ones is
-    the only feasible point and is returned, converged, before any step.
+    checked on entry and c = 1/d is finite and positive by construction.
+    The first projection starts cold, each later one from the shift the
+    previous one returned; consecutive iterates share nearly the same shift,
+    so the Newton projection usually needs a single pass.  With k = n,
+    w = ones is the only feasible point and is returned, converged, before
+    any step.
 
-    One bound, checked once, keeps every search point finite.  Each w is a
-    projection, in [0, 1], which puts w + m (w - w_prev) in [-1, 2] and
-    keeps B w - y finite (|(B w)_j| <= n sqrt(d_max)), so no objective is
-    NaN.  Accepted objectives never exceed f0 = ||B w0 - y||^2, so
-    ||r|| <= sqrt(f0), and 0 <= m < 1 gives ||r_z|| <= 3 sqrt(f0).  Every partial sum of
-    (B^T r_z)_i is at most ||B_i|| ||r_z|| <= 3 sqrt(f0 d_max), and the step
-    scales it by 1 / (L_D d_i) with ||B_i||^2 <= d_i and L_D >= 1 (a
-    longest column has unit norm in B D^-1/2), which leaves at most
-    3 sqrt(f0 / min(d)).  So while 3 sqrt(f0) max(sqrt(d_max),
-    1 / sqrt(min(d))) <= 1e300, far inside float range whatever the
-    round-off, no search point overflows and the loop checks none.  A solve
-    beyond that bound checks each one and raises ValueError at the first
-    that is not finite, instead of projecting it.  Such a solve runs with
-    float overflow ignored rather than refused up front, since it may still
-    succeed and each overflow there is handled: a search point that
-    overflows is refused as above, an objective that overflows reads inf
-    and is rejected by the restart, and a product lam c_i that overflows in
-    the projection stands for a coordinate far past its clip range and
-    clips to the exact 0 or 1 it would give; none of them warns.
+    One rule handles overflow.  The solve's own arithmetic runs with float
+    overflow and invalid operations ignored, and a step whose objective is
+    NaN is refused with ValueError.  Otherwise each overflow stands for what
+    it would give: a search-point coordinate or a product lam c_i that
+    overflows lies far past the clip range and clips to its exact 0 or 1,
+    and an objective that overflows reads inf and is rejected by the
+    restart.  Where a coordinate and lam c_i are both infinite, their
+    difference is NaN, and so is that step's objective.  accept runs under
+    the caller's float settings.
 
     The loop runs on the residual r = B w - y and never forms the n x n Gram:
     the objective is r @ r, and the gradient at the search point
@@ -212,48 +202,45 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
     iterate found so far is returned with converged=False; the caller decides
     whether that is acceptable.  Raises ValueError, with no warning, when a
     squared column norm of A diag(v) or the starting objective ||B w0 - y||^2
-    overflows float64, and ValueError when a search point is not finite
-    (beyond the bound above).
+    overflows float64, and ValueError when a step's objective is NaN.
     """
     A, y, v = _selection_inputs(A, y, v, k)
     m, n = A.shape
     w = np.full(n, k / n)  # feasible interior start
 
+    caller_err = np.geterr()  # accept runs under these
     with np.errstate(over="ignore", invalid="ignore"):
         B = A * v  # columns scaled by v
         d = np.einsum("ij,ij->j", B, B)
         r = B @ w - y
         fw = float(r @ r)
-    # the Gram of B D^-1/2 is finite once d is
-    if not (math.isfinite(fw) and np.isfinite(d).all()):
-        raise ValueError("a column norm of A diag(v) or ||A (v*w0) - y||^2 overflows float64")
-    tiny = np.finfo(float).tiny
-    d_max = float(d.max())
-    if d_max < tiny or k == n:
-        # v = 0 (or A diag(v) = 0): objective constant, any feasible point
-        # optimal.  k = n: w = ones is the only feasible point.
-        return w, True
-    d[d < tiny] = d_max
-    c = 1.0 / d  # the projection's scale
-    Bn = B * np.sqrt(c)
-    L = float(np.linalg.eigvalsh(Bn @ Bn.T if m < n else Bn.T @ Bn)[-1]) * 1.02
-    step_of = c / L  # each coordinate's step, 1 / (L_D d_i)
-    # the docstring's bound: below it no search point can overflow
-    check_each_z = 3.0 * math.sqrt(fw) * max(math.sqrt(d_max), 1.0 / math.sqrt(d.min())) > 1e300
+        # the Gram of B D^-1/2 is finite once d is
+        if not (math.isfinite(fw) and np.isfinite(d).all()):
+            raise ValueError("a column norm of A diag(v) or ||A (v*w0) - y||^2 overflows float64")
+        tiny = np.finfo(float).tiny
+        d_max = float(d.max())
+        if d_max < tiny or k == n:
+            # v = 0 (or A diag(v) = 0): objective constant, any feasible point
+            # optimal.  k = n: w = ones is the only feasible point.
+            return w, True
+        d[d < tiny] = d_max
+        c = 1.0 / d  # the projection's scale
+        Bn = B * np.sqrt(c)
+        L = float(np.linalg.eigvalsh(Bn @ Bn.T if m < n else Bn.T @ Bn)[-1]) * 1.02
+        step_of = c / L  # each coordinate's step, 1 / (L_D d_i)
 
-    zk, rz = w, r  # search point and its residual
-    t_mom = 1.0
-    stall = 0
-    lam = None  # shift of the last projection, the next one's starting guess
-    # past the bound, overflow is expected and each case handled (docstring)
-    with np.errstate(over="ignore" if check_each_z else None):
+        zk, rz = w, r  # search point and its residual
+        t_mom = 1.0
+        stall = 0
+        lam = None  # shift of the last projection, the next one's starting guess
         for step in range(1, MAX_INNER_ITER + 1):
             z = zk - (B.T @ rz) * step_of
-            if check_each_z and not np.isfinite(z).all():
-                raise ValueError("the search point of a FISTA step is not finite")
             w_new, lam = _project(z, k, c, lam)
             r_new = B @ w_new - y
             f_new = float(r_new @ r_new)
+            if math.isnan(f_new):
+                raise ValueError("a FISTA step's objective is NaN: its search point "
+                                 "or projection is not finite")
             if f_new > fw:  # monotone restart
                 w_new, r_new, f_new = w, r, fw
                 t_mom = 1.0
@@ -266,8 +253,10 @@ def solve_relaxed_ot(A, y, v, k, accept=None):
             w, r, fw, t_mom = w_new, r_new, f_new, t_next
             if stall >= 8:
                 return w, True
-            if accept is not None and step % ACCEPT_EVERY == 0 and accept(w):
-                return w, True
+            if accept is not None and step % ACCEPT_EVERY == 0:
+                with np.errstate(**caller_err):
+                    if accept(w):
+                        return w, True
     return w, False
 
 

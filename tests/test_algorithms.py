@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkit import algorithms, subproblems
-from otkit.algorithms import (ALL_VARIANTS, AlgorithmConfig, _search_point,
+from otkit.algorithms import (ALL_VARIANTS, AlgorithmConfig, _norm, _search_point,
                               config_for, run)
 from otkit.bench import EnsembleSpec, equiangular_frame, generate_instance
 from otkit.bounds import convergence_envelope, hbot_constants, ric_profile
@@ -55,6 +55,23 @@ class TestHeavyBallPoint:
         z = np.zeros(7)
         got = _search_point(A, y - A @ z, z, z, 2.5, 0.4)
         np.testing.assert_array_equal(got, 2.5 * (A.T @ y))
+
+
+def test_norm_keeps_numpys_bits_and_scales_past_its_range(rng):
+    # where the square is finite the norm is np.linalg.norm's, bit for bit;
+    # where it overflows, x is scaled, the norm agrees to round-off, and
+    # nothing warns or raises
+    for n, scale in ((256, 1e-300), (256, 1e-20), (1, 1.0), (257, 1.0), (4096, 1e20),
+                     (256, 1e152)):
+        x = scale * rng.standard_normal(n)
+        assert np.float64(_norm(x)).tobytes() == np.linalg.norm(x).tobytes()
+    x = rng.standard_normal(256)
+    for scale in (1e160, 1e200, 1e300):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _norm(scale * x)
+        assert got == pytest.approx(scale * np.linalg.norm(x), rel=1e-14)
+    with np.errstate(over="raise"):
+        assert _norm(np.full(4, 1e308)) == math.inf
 
 
 class TestExactSelectionVariants:
@@ -389,22 +406,41 @@ class TestSharedBehaviour:
             np.testing.assert_array_equal(result.x_final, result.trace.iterates[-1])
             assert len(result.trace.iterates) == result.iterations + starts
 
+    def test_finite_iterates_past_the_squared_norm_range_run_on(self):
+        # ||x|| near 2.3e200 squares past float range, yet A x and every
+        # Gram entry the selection forms stay finite: the runs end without a
+        # warning and without reading the iterate as diverged
+        G = np.random.default_rng(0).standard_normal((20, 40))
+        G /= np.linalg.norm(G, axis=0)
+        x = np.zeros(40)
+        x[[1, 5, 9]] = 1.0, -2.0, 0.5
+        problem = ProblemInstance(A=1e-100 * G, y=1e100 * (G @ x), k=3, truth=1e200 * x)
+        for variant in ("htp", "hbrotp", "omp"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run(problem, config_for(variant))
+            assert result.stop_reason != "diverged", variant
+            assert np.isfinite(result.x_final).all()
+            assert all(map(math.isfinite, result.trace.errors_to_truth))
+
     @given(variant=st.sampled_from(ALL_VARIANTS), n=st.integers(4, 12),
-           log_scale=st.floats(-3, 300), log_alpha=st.floats(-3, 8),
-           beta=st.floats(0, 10), seed=st.integers(0, 2**32 - 1))
+           log_scale=st.floats(-300, 300), log_truth=st.floats(0, 300),
+           log_alpha=st.floats(-3, 8), beta=st.floats(0, 10), seed=st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=200)
-    def test_every_run_ends_in_a_stop_reason(self, variant, n, log_scale, log_alpha,
-                                             beta, seed):
-        # A from 1e-3 to 1e300 and alpha up to 1e8, far outside any window:
-        # construction refuses exactly the problems whose y or ||A||_F ||y||
-        # overflows, and no floating-point error may escape run() on any other,
-        # whichever way the run ends
+    def test_every_run_ends_in_a_stop_reason(self, variant, n, log_scale, log_truth,
+                                             log_alpha, beta, seed):
+        # A from 1e-300 to 1e300, a truth up to 1e300 and alpha up to 1e8, far
+        # outside any window: construction refuses exactly the problems whose
+        # y, ||y||^2 or ||A||_F^2 overflows (where the product of the norms is
+        # inf), and no floating-point error may escape run() on any other,
+        # whichever way the run ends.  A tiny A with a large truth gives
+        # finite iterates whose squared norms overflow
         local = np.random.default_rng(seed)
         m = int(local.integers(2, n + 1))
         k = int(local.integers(1, min(m, 3) + 1))
         A = 10.0**log_scale * local.standard_normal((m, n))
         truth = np.zeros(n)
-        truth[local.choice(n, size=k, replace=False)] = local.standard_normal(k)
+        truth[local.choice(n, size=k, replace=False)] = 10.0**log_truth * local.standard_normal(k)
         with np.errstate(over="ignore", invalid="ignore"):
             y = A @ truth
             scale = np.linalg.norm(A) * np.linalg.norm(y)

@@ -716,6 +716,15 @@ class TestEnvelopeDispatch:
         with pytest.raises(ValueError, match=r"^noise_norm must be finite and nonnegative$"):
             convergence_envelope(bc, a0=1.0, a1=1.0, noise_norm=noise_norm, p=3)
 
+    def test_overflowing_noise_term_refused_under_noise_norms_name(self):
+        # 1e308 is finite, but b3 = 3.5 scales it past float range
+        bc = hbot_constants(RICProfile(k=1, delta_k=0, delta_2k=0, delta_3k=0, delta_kp1=0),
+                            1.5, 0.0)
+        with pytest.raises(ValueError) as refused:
+            convergence_envelope(bc, 1.0, 1.0, 1e308, 3)
+        assert str(refused.value) == ("noise_norm * b3 overflows float64 "
+                                      "(noise_norm = 1e+308, b3 = 3.5)")
+
     def test_exact_selection_envelope_formula(self):
         bc = hbot_constants(zero_ric(2), alpha=1.5, beta=0.0)
         # theta = 0.5, so the transient halves each step and the tail is C2*nu

@@ -175,8 +175,9 @@ class TestRecover:
                        "--y", str(tmp_path / "y.csv"), "--k", "9")
         assert code == EXIT_USAGE
 
-    def test_overflowing_problem_is_usage_error(self, tmp_path):
-        # ||A||_F ||y|| overflows float64: refused before the recovery
+    def test_overflowing_problem_is_usage_error(self, tmp_path, capsys):
+        # ||y||^2 overflows float64: refused, under that name, before the
+        # recovery
         A = 1e200 * np.random.default_rng(0).standard_normal((6, 10))
         save_matrix_csv(tmp_path / "A.csv", A)
         save_vector_csv(tmp_path / "y.csv", A[:, 2] - A[:, 7])
@@ -184,6 +185,7 @@ class TestRecover:
                        "--y", str(tmp_path / "y.csv"), "--k", "2",
                        "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: ||y||^2 overflows float64\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--tol"])

@@ -189,14 +189,26 @@ class TestProblemInstance:
         ProblemInstance(A=A, y=np.ones(10), k=4)
 
     def test_overflowing_scale_rejected(self, rng):
-        # at 1e200 every entry is finite but ||A||_F ||y|| is not; at 1e150
-        # the product is about 1e302
-        A = rng.standard_normal((6, 10))
+        # each refusal names the square that overflowed.  At 1e200 every
+        # entry is finite but ||y||^2 is not; a tiny A with a large y
+        # overflows ||y||^2 although ||A||_F ||y|| is about 1e55; a large A
+        # overflows ||A||_F^2 whatever y is
+        A, g = rng.standard_normal((6, 10)), rng.standard_normal(6)
         truth = np.zeros(10)
         truth[[2, 7]] = [1.0, -0.5]
-        with pytest.raises(ValueError, match="overflows float64"):
-            ProblemInstance(A=1e200 * A, y=(1e200 * A) @ truth, k=2)
+        for scaled, y, square in ((1e200 * A, (1e200 * A) @ truth, "||y||^2"),
+                                  (1e-100 * A, 1e154 * g, "||y||^2"),
+                                  (1e155 * A, g, "||A||_F^2")):
+            with pytest.raises(ValueError) as refused:
+                ProblemInstance(A=scaled, y=y, k=2)
+            assert str(refused.value) == f"{square} overflows float64"
+        # at 1e150 both squares are about 1e300.  With both norms just below
+        # sqrt(float max) their product rounds below float max, so no third
+        # refusal is needed
         ProblemInstance(A=1e150 * A, y=(1e150 * A) @ truth, k=2)
+        root = math.sqrt(np.finfo(float).max)
+        ProblemInstance(A=0.999 * root / np.linalg.norm(A) * A,
+                        y=0.999 * root / np.linalg.norm(g) * g, k=2)
 
 
 class TestCsvRoundTrip:

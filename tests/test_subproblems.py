@@ -524,12 +524,11 @@ def test_every_kernel_call_replays_through_the_public_projection(monkeypatch):
 
 
 def test_nonfinite_search_point_refused(rng, monkeypatch):
-    # past the solve's bound, with ||y|| near 1e150 and a column of squared
-    # norm near 1e-304, the loop checks every search point and refuses one
-    # that is not finite instead of projecting it.  To make one, the first
-    # projection hands back a NaN where v is 0: B's zero column hides it
-    # from the objective's comparison, the step is accepted, and the NaN
-    # spreads through the residual into the next search point
+    # a step whose objective is NaN is refused instead of taken.  To make
+    # one, with ||y|| near 1e150 and a column of squared norm near 1e-304,
+    # the first projection hands back a NaN where v is 0: the NaN reaches
+    # the residual through B's zero column, and the loop raises before it
+    # projects again
     A, y, v = rng.standard_normal((6, 10)), 1e150 * rng.standard_normal(6), rng.standard_normal(10)
     v[0], v[2] = 1e-152, 0.0
     received, project = [], otkit.subproblems._project
@@ -547,10 +546,10 @@ def test_nonfinite_search_point_refused(rng, monkeypatch):
     assert len(received) == 1 and np.isfinite(received[0]).all()
 
 
-def test_past_the_bound_overflow_warns_nothing():
-    # past the bound, with ||y|| near 1e150 and a column of squared norm
-    # near 1e-300, a product lam c_i in the projection overflows; it clips
-    # to the exact 0 or 1 it stands for, with no RuntimeWarning
+def test_overflowing_shift_product_clips_without_warning():
+    # with ||y|| near 1e150 and a column of squared norm near 1e-300, a
+    # product lam c_i in the projection overflows; it clips to the exact 0
+    # or 1 it stands for, with no RuntimeWarning
     rng = np.random.default_rng(5)
     A, y, v = rng.standard_normal((6, 10)), rng.standard_normal(6), rng.standard_normal(10)
     v[0] = 1e-150
@@ -561,11 +560,43 @@ def test_past_the_bound_overflow_warns_nothing():
     assert abs(w.sum() - 3) <= 1e-12 and w.min() >= 0.0 and w.max() <= 1.0
 
 
+def test_weights_over_two_hundred_decades_warn_nothing():
+    # v from 1e-90 to 1e90 spreads the metric's weights c_i over 360
+    # decades, and a product lam c_i overflows; it clips to its exact 0 or 1
+    rng = np.random.default_rng(0)
+    A, y = rng.standard_normal((6, 10)), rng.standard_normal(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, _ = solve_relaxed_ot(A, y, 10.0 ** np.arange(-90, 110, 20), 3)
+    assert np.isfinite(w).all() and w.min() >= 0.0 and w.max() <= 1.0
+
+
+@pytest.mark.parametrize("lo, hi", [(-100, 100), (-50, 150), (-2, 200), (-150, 50)])
+def test_weights_of_any_spread_return_or_refuse_without_warning(lo, hi):
+    # v_i = N(0, 1) 10^U(lo, hi): each solve returns a w in [0, 1] or
+    # refuses with ValueError (a Gram that overflows), and none warns.  The
+    # mass sum(w) = k is not asserted: at these spreads the projection can
+    # return an infeasible w, a separate defect (ROADMAP item 12)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A, y = rng.standard_normal((6, 10)), rng.standard_normal(6)
+        v = rng.standard_normal(10) * 10.0 ** rng.uniform(lo, hi, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                w, _ = solve_relaxed_ot(A, y, v, 3)
+            except ValueError:
+                continue
+        assert np.isfinite(w).all() and w.min() >= 0.0 and w.max() <= 1.0, seed
+
+
 @pytest.mark.parametrize("y_scale, v_small", [(1.0, 1.0), (1e120, 1.0), (1.0, 1e-120),
                                               (1e60, 1e-60)])
 def test_search_points_stay_finite_within_the_bound(rng, monkeypatch, y_scale, v_small):
-    # inside the bound the loop checks no search point: each one it
-    # projects is finite, however far y and a column's norm are scaled
+    # the bound: while 3 sqrt(f0) max(sqrt(max d), 1 / sqrt(min d)) is far
+    # inside float range (f0 the starting objective, d the squared column
+    # norms of A diag(v)), every search point the loop projects is finite,
+    # however far y and a column's norm are scaled
     A, y, v = rng.standard_normal((6, 10)), y_scale * rng.standard_normal(6), rng.standard_normal(10)
     v[0] *= v_small
     largest, project = [], otkit.subproblems._project
@@ -638,6 +669,13 @@ class TestAcceptPredicate:
         assert converged
         assert len(asked) == 3 and len(steps) == 3 * ACCEPT_EVERY
         assert w.tobytes() == asked[-1].tobytes()
+
+    def test_asked_under_the_callers_float_settings(self):
+        # the solve ignores overflow in its own arithmetic, not in the
+        # predicate: an overflow there still raises under over="raise"
+        A, y, v, k = self.capped_instance()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            solve_relaxed_ot(A, y, v, k, accept=lambda w: np.float64(1e300) * (1e300 + w[0]) > 0)
 
     def test_stall_before_the_first_ask_never_asks(self, monkeypatch):
         # A = I and y a binary selector on the capped simplex: the objective
